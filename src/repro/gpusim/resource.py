@@ -17,10 +17,12 @@ semantics live (and are tested) in exactly one place:
 * :class:`SlotPool` — a bounded pool of slots tracked by release time
   (the RT unit's warp buffer): acquiring from a full pool waits for the
   earliest release.
-* :class:`PipelinedLane` — a fully pipelined single lane with bounded
+* :class:`PipelinedLane` — a fully pipelined single lane with first-fit
   gap backfill: work is appended at the tail, but an allocation whose
   operands were ready earlier may claim an idle gap a late-ready
   predecessor left behind (work-conserving, no head-of-line blocking).
+  The first fit is found by bisect over an unbounded, start-ordered gap
+  list.
 
 All primitives take and return **integer** cycles; :class:`Port` is the
 only one that carries fractional state, and it never leaks it.
@@ -38,8 +40,12 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
+from operator import itemgetter
 
 from repro.errors import ConfigError
+
+_gap_end = itemgetter(1)
 
 
 class Port:
@@ -136,26 +142,27 @@ class SlotPool:
 
 
 class PipelinedLane:
-    """Single-lane pipeline allocator with bounded gap backfill.
+    """Single-lane pipeline allocator with first-fit gap backfill.
 
     Allocations normally extend the tail, but an entry whose operands were
     ready before the tail (because a *later-dispatched* entry's fetch
     stalled on DRAM) may backfill an idle gap left behind — the
     work-conserving, out-of-order entry scheduling of the RT unit's
-    datapath.  The gap list is bounded so allocation stays O(1) amortized.
+    datapath.  Gaps are disjoint and start-ordered, so their ends ascend
+    and a bisect on the ends finds the first gap that could hold the
+    entry.  The list is not bounded: the ``_MAX_GAPS`` trim runs only when
+    a gap is appended, so splits grow it past 64 (to 4,335 gaps on the
+    bvhnn/flann R10K/BUN campaign jobs, 18,411 on bvhnn COS).  Bounding it
+    changes the timing model (ROADMAP item 2, Option B).
     """
 
-    __slots__ = ("_tail", "_gaps", "_max_gap_len")
+    __slots__ = ("_tail", "_gaps")
 
     _MAX_GAPS = 64
 
     def __init__(self) -> None:
         self._tail = 0
         self._gaps: list[tuple[int, int]] = []
-        # Upper bound on the longest gap (splits only shrink gaps, so a
-        # stale bound is safe); lets allocate() skip the scan outright when
-        # no gap could possibly hold ``busy`` slots.
-        self._max_gap_len = 0
 
     def allocate(self, ready: int, busy: int) -> int:
         """Earliest start giving ``busy`` back-to-back single-lane slots at
@@ -163,35 +170,23 @@ class PipelinedLane:
         gaps = self._gaps
         # Every gap lies strictly before the tail (gaps are carved out of
         # the region behind it and splits only shrink them), so an entry
-        # ready at or past the tail can never backfill — skip the scan.
-        if gaps and busy <= self._max_gap_len and ready < self._tail:
-            longest = 0
-            fitted = False
-            for index, (gap_start, gap_end) in enumerate(gaps):
-                length = gap_end - gap_start
-                if length > longest:
-                    longest = length
-                if length < busy:
-                    continue
+        # ready at or past the tail can never backfill — skip the search.
+        if gaps and ready < self._tail:
+            first = bisect_left(gaps, ready + busy, key=_gap_end)
+            for index in range(first, len(gaps)):
+                gap_start, gap_end = gaps[index]
                 start = gap_start if gap_start >= ready else ready
                 if start + busy <= gap_end:
-                    fitted = True
-                    break
-            if fitted:
-                replacement = []
-                if start > gap_start:
-                    replacement.append((gap_start, start))
-                if start + busy < gap_end:
-                    replacement.append((start + busy, gap_end))
-                gaps[index : index + 1] = replacement
-                return start
-            # Full scan with no fit: ``longest`` is now the exact maximum.
-            self._max_gap_len = longest
+                    replacement = []
+                    if start > gap_start:
+                        replacement.append((gap_start, start))
+                    if start + busy < gap_end:
+                        replacement.append((start + busy, gap_end))
+                    gaps[index : index + 1] = replacement
+                    return start
         start = max(self._tail, ready)
         if start > self._tail:
             gaps.append((self._tail, start))
-            if start - self._tail > self._max_gap_len:
-                self._max_gap_len = start - self._tail
             if len(gaps) > self._MAX_GAPS:
                 gaps.pop(0)
         self._tail = start + busy

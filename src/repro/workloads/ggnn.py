@@ -21,7 +21,7 @@ from repro.compiler.lowering import STYLE_COOPERATIVE
 from repro.compiler.ops import WarpOp
 from repro.datasets.registry import Dataset, load_dataset, perturbed_queries
 from repro.graph.hnsw import METRIC_ANGULAR, METRIC_EUCLID
-from repro.search import HnswIndex
+from repro.search import HnswIndex, QuerySpec
 
 EVENT_DIST = HnswIndex.EVENT_DIST
 EVENT_QUEUE = HnswIndex.EVENT_QUEUE
@@ -81,7 +81,9 @@ def run_ggnn(
 
     # One batched search for the whole query block; the conversion below
     # walks each query's slice of the array-backed event log.
-    result = index.query_batch(queries, k=k, ef=ef, record_events=True)
+    result = index.query_batch(
+        queries, spec=QuerySpec(k=k, ef=ef), record_events=True
+    )
     warp_ops: list[list[WarpOp]] = [
         _events_to_warp_ops(
             result.events.query_events(qi), points, adjacency, dim, metric, m

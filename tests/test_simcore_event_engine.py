@@ -327,6 +327,62 @@ class TestBatchedMatchesScalar:
         assert changed.stable_hash() != batched.stable_hash()
 
 
+class LinearScanLane:
+    """Reference ``PipelinedLane``: a linear first-fit scan over the whole
+    gap list (with a longest-gap skip), the oracle the bisect version
+    must match call for call."""
+
+    _MAX_GAPS = PipelinedLane._MAX_GAPS
+
+    def __init__(self) -> None:
+        self._tail = 0
+        self._gaps: list[tuple[int, int]] = []
+        self._max_gap_len = 0
+
+    def allocate(self, ready: int, busy: int) -> int:
+        gaps = self._gaps
+        if gaps and busy <= self._max_gap_len and ready < self._tail:
+            longest = 0
+            fitted = False
+            for index, (gap_start, gap_end) in enumerate(gaps):
+                length = gap_end - gap_start
+                if length > longest:
+                    longest = length
+                if length < busy:
+                    continue
+                start = gap_start if gap_start >= ready else ready
+                if start + busy <= gap_end:
+                    fitted = True
+                    break
+            if fitted:
+                replacement = []
+                if start > gap_start:
+                    replacement.append((gap_start, start))
+                if start + busy < gap_end:
+                    replacement.append((start + busy, gap_end))
+                gaps[index : index + 1] = replacement
+                return start
+            self._max_gap_len = longest
+        start = max(self._tail, ready)
+        if start > self._tail:
+            gaps.append((self._tail, start))
+            if start - self._tail > self._max_gap_len:
+                self._max_gap_len = start - self._tail
+            if len(gaps) > self._MAX_GAPS:
+                gaps.pop(0)
+        self._tail = start + busy
+        return start
+
+    def next_event_cycle(self) -> int:
+        if self._gaps:
+            return self._gaps[0][0]
+        return self._tail
+
+    @property
+    def tail(self) -> int:
+        return self._tail
+
+
 class TestPrimitiveHorizons:
     """``next_event_cycle()``: observational, and the integer cycle at
     which each primitive's occupancy next changes an acquirer's outcome."""
@@ -369,6 +425,45 @@ class TestPrimitiveHorizons:
         assert lane.next_event_cycle() == 3  # gap start wins over tail
         assert lane.allocate(0, 4) == 3  # backfills the gap
         assert lane.next_event_cycle() == 7  # remaining gap [7, 10)
+
+    def test_pipelined_lane_bisect_matches_linear_scan(self):
+        """Randomized streams: after every call, the bisect lane agrees
+        with the linear scan on the start it returns, the gap list, the
+        tail and the horizon.  The streams mix entries ready at or past
+        the tail, entries ready inside a gap (which split it) and entries
+        ready far behind the tail, with ``busy`` from 1 to 64."""
+        backfills = misses = peak = 0
+        for seed in range(24):
+            rng = random.Random(seed)
+            lane, ref = PipelinedLane(), LinearScanLane()
+            for _ in range(1500):
+                tail = ref.tail
+                mode = rng.random()
+                if mode < 0.3 or not ref._gaps:
+                    ready = tail + rng.randint(0, 300)
+                elif mode < 0.6:
+                    gap_start, gap_end = rng.choice(ref._gaps)
+                    ready = rng.randint(gap_start, gap_end)
+                elif mode < 0.8:
+                    ready = max(0, tail - rng.randint(1_000, 100_000))
+                else:
+                    ready = tail - rng.randint(1, 64)
+                busy = rng.randint(1, 64)
+                had_gaps = bool(ref._gaps)
+                start = ref.allocate(ready, busy)
+                assert lane.allocate(ready, busy) == start
+                assert lane._gaps == ref._gaps
+                assert lane.tail == ref.tail
+                assert lane.next_event_cycle() == ref.next_event_cycle()
+                if start < tail:
+                    backfills += 1
+                elif had_gaps and ready < tail:
+                    misses += 1
+                peak = max(peak, len(ref._gaps))
+        assert backfills and misses  # both outcomes of the gap search ran
+        # Splits grow the list past the append-time trim, so the pop(0)
+        # path also ran on a list already longer than _MAX_GAPS.
+        assert peak > PipelinedLane._MAX_GAPS
 
     def test_sm_core_horizon_composes_children(self):
         kernel = KernelTrace(
