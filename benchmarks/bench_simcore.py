@@ -22,32 +22,17 @@ Each sample also records the campaign's *phase split* — trace generation
 :data:`repro.experiments.campaign.phase_stats`.  The phases are gated
 independently: a trace-gen regression can't hide inside a simulator win.
 
-**Engine microbenchmark** (``engines`` JSON section): the smoke campaign
-is memory-bound, so the warp-batched event engine's fast tiers barely
-engage there.  The ``engines`` section therefore measures the simulate
-phase of a synthetic compute-bound kernel (pure ALU/SFU/LDS warps — the
-workload shape the engine accelerates) for every engine x kernel-backend
-combination, interleaved best-of-N inside one process per backend.  Both
-engines must produce identical ``SimStats`` (asserted per sample) and
-each cell is gated against the committed JSON.
-``speedup_batched_vs_scalar`` under the ``reference`` backend is the
-recorded batched-engine win (acceptance bar >= 1.5x); under ``jit`` the
-compiled ``engine_drain`` loop raises the bar further (CI-only — see
-below).
-
-**Honest jit rows**: ``numba_available`` records whether the ``jit``
-backend actually exercised compiled kernels.  Without numba the jit
-backend silently degrades to the reference implementation, so this bench
-*skips* the jit rows entirely (JSON ``null``) instead of committing
-reference timings under a jit label, and ``--check`` refuses to certify
-a run whose jit rows fell back unless ``--allow-jit-fallback`` is given
-(CI installs numba, so the gate job always measures real compiled rows).
+**Engine microbenchmark** (``engine_micro`` JSON section): the smoke
+campaign is memory-bound, so the event engine's singleton chain barely
+engages there.  ``engine_micro`` therefore records the simulate time of
+a synthetic compute-bound kernel (pure ALU/SFU/LDS warps — the workload
+shape the chain carries), best-of-N inside one fresh process.
 
 ``--check`` compares the fresh measurement against the *committed*
 ``BENCH_simcore.json`` (falling back to :data:`BASELINE_COLD_SECONDS` and
 the per-phase baseline constants) and exits non-zero when cold wall-clock,
-either phase, or any per-engine/per-backend simulate cell regressed more
-than ``--tolerance`` (default 20%).  ``BASELINE_COLD_SECONDS`` is the same
+either phase, or the engine-micro simulate time regressed more than
+``--tolerance`` (default 20%).  ``BASELINE_COLD_SECONDS`` is the same
 benchmark measured at the commit before the skip-to-next-event engine and
 the vectorized workload kernels landed; ``speedup_vs_baseline`` in the
 JSON tracks the cumulative win (the acceptance bar is >= 2x).
@@ -99,22 +84,16 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_simcore.json"
 
-#: Kernel backends the per-backend sections measure (docs/KERNELS.md).
-BACKENDS = ("reference", "jit")
-
-#: Engines the ``engines`` microbenchmark compares (gpusim/engine.py).
-ENGINES = ("scalar", "batched")
-
 #: Shape of the engine microbenchmark's synthetic kernel: enough warps
-#: that admission waves exercise the vectorized ``engine_advance`` tier
-#: and the steady state exercises the singleton ``heapreplace`` chain.
+#: that the cycle-0 admission wave is a mass horizon and the steady state
+#: exercises the singleton ``heapreplace`` chain.
 ENGINE_MICRO_WARPS = 1024
 ENGINE_MICRO_INSTRS = 32
 ENGINE_MICRO_SMS = 4
 
 
 def _engine_micro_kernel():
-    """The synthetic compute-bound kernel the ``engines`` section times.
+    """The synthetic compute-bound kernel ``engine_micro`` times.
 
     Pure ALU/SFU/LDS instructions only — no memory traffic — so the
     measurement isolates event-engine dispatch cost from the (shared)
@@ -141,35 +120,22 @@ def _engine_micro_kernel():
 
 
 def _engine_child(runs: int) -> None:
-    """Per-engine simulate times for the micro kernel, inside this
-    process (backend comes from ``REPRO_KERNEL_BACKEND``).
-
-    Interleaved best-of-N: engines alternate within each rep so slow
-    drift hits both equally (floor of 4 reps — the first rep pays numpy
-    warmup and a 1-vCPU container needs a few shots at a quiet slice).
-    Also asserts batched == scalar ``SimStats`` — the bench doubles as an
-    end-to-end equivalence check.
+    """Best-of-N simulate time of the micro kernel, inside this process
+    (floor of 4 reps — the first rep pays numpy warmup and a 1-vCPU
+    container needs a few shots at a quiet slice).
     """
     from repro.gpusim.config import GpuConfig
     from repro.gpusim.gpu import GpuSimulator
 
     kernel = _engine_micro_kernel()
-    best: dict[str, float] = {engine: float("inf") for engine in ENGINES}
-    stats: dict[str, object] = {}
+    config = GpuConfig(num_sms=ENGINE_MICRO_SMS)
+    best = float("inf")
     for _rep in range(max(runs, 4)):
-        for engine in ENGINES:
-            sim = GpuSimulator(
-                GpuConfig(engine=engine, num_sms=ENGINE_MICRO_SMS), kernel
-            )
-            start = time.perf_counter()
-            stats[engine] = sim.run()
-            wall = time.perf_counter() - start
-            if wall < best[engine]:
-                best[engine] = wall
-    if stats["scalar"] != stats["batched"]:
-        print(json.dumps({"error": "batched != scalar SimStats"}))
-        raise SystemExit(1)
-    print(json.dumps({engine: best[engine] for engine in ENGINES}))
+        sim = GpuSimulator(config, kernel)
+        start = time.perf_counter()
+        sim.run()
+        best = min(best, time.perf_counter() - start)
+    print(json.dumps({"simulate_seconds": best}))
 
 
 def _child(jobs_n: int) -> None:
@@ -250,13 +216,10 @@ def _spawn_child(
 
 def _run_cold_sample(
     jobs_n: int,
-    backend: str | None = None,
     profile_out: Path | None = None,
 ) -> dict[str, float]:
     """Spawn one fresh-process, fresh-cache sample; returns phase timings."""
     env: dict[str, str] = {}
-    if backend is not None:
-        env["REPRO_KERNEL_BACKEND"] = backend
     if profile_out is not None:
         env["REPRO_BENCH_PROFILE_OUT"] = str(profile_out)
     payload = _spawn_child(["--child", "--jobs", str(jobs_n)], env)
@@ -306,82 +269,18 @@ def measure(runs: int, jobs_n: int) -> dict[str, object]:
     }
 
 
-def measure_backends(runs: int, jobs_n: int) -> dict[str, object]:
-    """Cold phase split per kernel backend (``backends`` JSON section).
-
-    Best-of-N per backend, same fresh-subprocess protocol; with numba
-    installed the first jit sample pays the one-time ``@njit(cache=True)``
-    compile, which best-of-N then discounts.  Without numba the jit rows
-    are ``null`` — the degraded backend would just re-measure the
-    reference implementation under a misleading label.
-    """
-    from repro.kernels import jit_available
-
-    numba = jit_available()
-    per_backend: dict[str, object] = {}
-    for backend in BACKENDS:
-        if backend == "jit" and not numba:
-            per_backend[backend] = None
-            continue
-        samples = []
-        for index in range(runs):
-            sample = _run_cold_sample(jobs_n, backend=backend)
-            samples.append(sample)
-            print(
-                f"  [{backend}] sample {index + 1}/{runs}: "
-                f"{sample['seconds']:.3f}s "
-                f"(tracegen {sample['tracegen_seconds']:.3f}s, "
-                f"simulate {sample['simulate_seconds']:.3f}s)",
-                flush=True,
-            )
-        best = min(samples, key=lambda s: s["seconds"])
-        per_backend[backend] = {
-            "cold_seconds": round(best["seconds"], 4),
-            "tracegen_seconds": round(best["tracegen_seconds"], 4),
-            "simulate_seconds": round(best["simulate_seconds"], 4),
-        }
-    return {"numba_available": numba, "backends": per_backend}
-
-
-def measure_engines(runs: int) -> dict[str, object]:
-    """Engine-microbenchmark simulate times (``engines`` JSON section).
-
-    One fresh subprocess per kernel backend (the backend must be pinned
-    before ``repro.kernels`` imports); engines interleave inside it.
-    Rows for a degraded jit backend are ``null``, like
-    :func:`measure_backends`.
-    """
-    from repro.kernels import jit_available
-
-    numba = jit_available()
-    engines: dict[str, object] = {}
-    for backend in BACKENDS:
-        if backend == "jit" and not numba:
-            engines[backend] = None
-            continue
-        payload = _spawn_child(
-            ["--engine-child", "--runs", str(runs)],
-            {"REPRO_KERNEL_BACKEND": backend},
-        )
-        scalar = float(payload["scalar"])
-        batched = float(payload["batched"])
-        engines[backend] = {
-            "scalar_simulate_seconds": round(scalar, 4),
-            "batched_simulate_seconds": round(batched, 4),
-            "speedup_batched_vs_scalar": round(scalar / batched, 3),
-        }
-        print(
-            f"  [{backend}] engine micro: scalar {scalar:.4f}s, "
-            f"batched {batched:.4f}s "
-            f"({scalar / batched:.2f}x)",
-            flush=True,
-        )
+def measure_engine(runs: int) -> dict[str, object]:
+    """Engine-microbenchmark simulate time (``engine_micro`` JSON
+    section), measured in one fresh subprocess."""
+    payload = _spawn_child(["--engine-child", "--runs", str(runs)], {})
+    seconds = float(payload["simulate_seconds"])
+    print(f"  engine micro: simulate {seconds:.4f}s", flush=True)
     return {
-        "engines": engines,
         "engine_micro": {
             "warps": ENGINE_MICRO_WARPS,
             "instructions_per_warp": ENGINE_MICRO_INSTRS,
             "num_sms": ENGINE_MICRO_SMS,
+            "simulate_seconds": round(seconds, 4),
         },
     }
 
@@ -415,44 +314,6 @@ def _committed_section(output: Path, section: str) -> dict:
         return {}
 
 
-def _gate_engines(gate, result: dict, committed_engines: dict) -> None:
-    """Per engine x backend simulate-phase gates on the micro kernel."""
-    for backend, row in result["engines"].items():
-        committed_row = committed_engines.get(backend)
-        for engine in ENGINES:
-            name = f"engine[{backend}/{engine}]"
-            field = f"{engine}_simulate_seconds"
-            if row is None:
-                # Degraded backend: nothing measured, nothing to gate
-                # (the jit-fallback refusal handles certification).
-                continue
-            if not isinstance(committed_row, dict) or field not in committed_row:
-                gate.first_run(name)
-                continue
-            gate.check_upper(
-                name, "simulate", float(row[field]),
-                float(committed_row[field]), unit="s", fmt="{:.4f}",
-            )
-
-
-def _gate_backends(gate, result: dict, committed_backends: dict) -> None:
-    """Per-backend smoke simulate-phase gates."""
-    for backend, row in result["backends"].items():
-        name = f"simulate[{backend}]"
-        if row is None:
-            continue
-        committed_row = committed_backends.get(backend)
-        if not isinstance(committed_row, dict) or (
-            "simulate_seconds" not in committed_row
-        ):
-            gate.first_run(name)
-            continue
-        gate.check_upper(
-            name, "simulate", float(row["simulate_seconds"]),
-            float(committed_row["simulate_seconds"]), unit="s", fmt="{:.4f}",
-        )
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--runs", type=int, default=3, metavar="N",
@@ -463,13 +324,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="CI mode: 2 samples and the regression gate")
     parser.add_argument("--check", action="store_true",
                         help="fail when cold wall-clock, either phase, or "
-                        "any per-engine/per-backend simulate cell regresses "
-                        "beyond --tolerance vs the committed "
-                        "BENCH_simcore.json")
-    parser.add_argument("--allow-jit-fallback", action="store_true",
-                        help="let --check pass when numba is unavailable "
-                        "(jit rows null); without this flag a degraded jit "
-                        "backend fails certification")
+                        "the engine-micro simulate time regresses beyond "
+                        "--tolerance vs the committed BENCH_simcore.json")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional regression (default 0.20)")
     parser.add_argument("--profile", action="store_true",
@@ -497,19 +353,13 @@ def main(argv: list[str] | None = None) -> int:
     runs = 2 if args.smoke and args.runs == 3 else args.runs
     check = args.check or args.smoke
     reference = _reference_numbers(args.output)
-    committed_backends = _committed_section(args.output, "backends")
-    committed_engines = _committed_section(args.output, "engines")
+    committed_micro = _committed_section(args.output, "engine_micro")
 
     print(f"cold smoke campaign, {runs} fresh-process samples:")
     result = measure(runs, args.jobs)
-    print("per-backend phase split:")
-    result.update(measure_backends(runs, args.jobs))
-    print("engine microbenchmark (simulate phase, per engine x backend):")
-    result.update(measure_engines(runs))
+    print("engine microbenchmark (simulate phase):")
+    result.update(measure_engine(runs))
 
-    if not result["numba_available"]:
-        print("numba unavailable: jit rows recorded as null "
-              "(reference fallback would mislabel reference timings)")
     cold = float(result["cold_seconds"])
     print(
         f"cold {cold:.3f}s — {result['speedup_vs_baseline']}x vs "
@@ -523,13 +373,6 @@ def main(argv: list[str] | None = None) -> int:
         f"({result['simulate_speedup_vs_pre_engine']}x vs pre-engine "
         f"{PRE_ENGINE_SIMULATE_SECONDS}s)"
     )
-    engines_ref = result["engines"].get("reference")
-    if engines_ref:
-        print(
-            "engine micro [reference]: batched "
-            f"{engines_ref['speedup_batched_vs_scalar']}x vs scalar"
-        )
-
     args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(f"wrote {args.output}")
 
@@ -544,12 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         from _gate import RegressionGate
 
         gate = RegressionGate(args.tolerance)
-        if not result["numba_available"] and not args.allow_jit_fallback:
-            gate.fail(
-                "jit backend degraded to reference (numba unavailable); "
-                "refusing to certify — rerun with --allow-jit-fallback "
-                "to accept null jit rows"
-            )
         gate.check_upper(
             "cold", "wall", cold, reference["cold_seconds"], unit="s"
         )
@@ -561,8 +398,15 @@ def main(argv: list[str] | None = None) -> int:
             "simulate", "wall", float(result["simulate_seconds"]),
             reference["simulate_seconds"], unit="s",
         )
-        _gate_backends(gate, result, committed_backends)
-        _gate_engines(gate, result, committed_engines)
+        micro = float(result["engine_micro"]["simulate_seconds"])
+        if "simulate_seconds" in committed_micro:
+            gate.check_upper(
+                "engine_micro", "simulate", micro,
+                float(committed_micro["simulate_seconds"]),
+                unit="s", fmt="{:.4f}",
+            )
+        else:
+            gate.first_run("engine_micro")
         if not gate.ok:
             return 1
     return 0

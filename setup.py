@@ -18,9 +18,4 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     install_requires=["numpy>=1.24"],
-    extras_require={
-        # The optional JIT kernel backend (docs/KERNELS.md); without it
-        # `get_backend("jit")` degrades to the numpy reference backend.
-        "jit": ["numba>=0.59"],
-    },
 )

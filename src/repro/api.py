@@ -30,10 +30,6 @@ Results are :class:`~repro.gpusim.stats.SimStats` and are bit-exact with
 the legacy entry points this facade replaced: it builds the same campaign
 cache keys, run ids, and manifests, so existing ``results/cache/``
 contents keep hitting.
-
-``simulate(backend=...)`` selects the kernel backend (:mod:`repro.kernels`)
-for the duration of the call — backends are bit-identical by contract, so
-this only changes how fast the pipeline runs, never what it returns.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from repro.experiments import campaign
 from repro.gpusim import GpuConfig
 from repro.gpusim.stats import SimStats
 from repro.gpusim.trace import KernelTrace
-from repro.kernels import get_backend, use_backend
 from repro.workloads.base import TraceBundle, WorkloadRun, to_traces
 
 __all__ = [
@@ -122,7 +117,6 @@ def validate_simulate_args(
     variant: str = "hsu",
     config: GpuConfig | None = None,
     cache: str | None = None,
-    backend: str | None = None,
     scale: float = 1.0,
     shards: int = 1,
     shard: int = 0,
@@ -150,8 +144,6 @@ def validate_simulate_args(
         raise ConfigError(
             f"unknown cache mode {cache!r} (want one of {_CACHE_MODES})"
         )
-    if backend is not None:
-        get_backend(backend)  # unknown backend names raise ConfigError
     if scale <= 0:
         raise ConfigError(f"scale must be > 0, got {scale}")
     if shards < 1 or not 0 <= shard < shards:
@@ -282,7 +274,6 @@ def simulate(
     shard: int = 0,
     metric: str = "euclid",
     label: object = None,
-    backend: str | None = None,
 ) -> SimStats:
     """Simulate one workload variant and return its :class:`SimStats`.
 
@@ -322,43 +313,18 @@ def simulate(
 
     ``label`` names a recorded trace's (family, abbr) identity for
     manifests and cache keys; ignored for named workloads.
-
-    ``backend`` selects the kernel backend (``"reference"`` / ``"jit"``,
-    :mod:`repro.kernels`) for the duration of this call, overriding the
-    ``REPRO_KERNEL_BACKEND`` environment variable and any
-    ``config.kernel_backend``.  Backends are bit-identical by contract:
-    the stats, cache keys, and manifests are the same either way.
     """
     named = not isinstance(workload, (KernelTrace, TraceBundle, WorkloadRun))
     validate_simulate_args(
         variant=variant,
         config=config,
         cache=cache,
-        backend=backend,
         scale=scale,
         shards=shards,
         shard=shard,
         metric=metric,
         named=named,
     )
-    if backend is not None:
-        with use_backend(backend):
-            return simulate(
-                workload,
-                variant=variant,
-                config=config,
-                cache=cache,
-                queries=queries,
-                warp_buffer=warp_buffer,
-                euclid_width=euclid_width,
-                scheduler=scheduler,
-                memory=memory,
-                scale=scale,
-                shards=shards,
-                shard=shard,
-                metric=metric,
-                label=label,
-            )
     prior = campaign.cache_mode()
     if cache is not None:
         campaign.set_cache_mode(cache)

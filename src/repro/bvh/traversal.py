@@ -261,12 +261,11 @@ def point_query_batch(
 ) -> tuple[np.ndarray, np.ndarray, EventLog | None]:
     """Batched :func:`point_query` over a ``(Q, 3)`` query block.
 
-    The traversal itself lives in the active kernel backend
-    (``bvh_point_query`` — see :mod:`repro.kernels`): the reference
-    backend advances every query's DFS stack in vectorized lockstep, the
-    jit backend walks each query's DFS in compiled sequential code.  Per
-    query, the visit order — and therefore the candidate order and the
-    event stream — is *identical* to the scalar loop under every backend.
+    The traversal itself lives in the kernel backend
+    (``bvh_point_query`` — see :mod:`repro.kernels`), which advances
+    every query's DFS stack in vectorized lockstep.  Per query, the visit
+    order — and therefore the candidate order and the event stream — is
+    *identical* to the scalar loop.
 
     Returns ``(cand_starts, cand_prims, log)``: candidates of query ``q``
     are ``cand_prims[cand_starts[q] : cand_starts[q + 1]]`` in traversal
@@ -327,8 +326,7 @@ def radius_search_batch(
 
     When the metric is Euclidean and no event log is requested, the
     traversal and the confirm distances run as one ``bvh_radius_query``
-    backend call (the jit backend fuses the distance loop into the leaf
-    visit); its reference semantics is exactly the composed pipeline, so
+    backend call, whose semantics is exactly the composed pipeline, so
     results are unchanged to the bit.
     """
     queries = np.asarray(queries, dtype=np.float64)
@@ -339,10 +337,9 @@ def radius_search_batch(
     threshold = radius * radius if metric == METRIC_EUCLID else radius
     if metric == METRIC_EUCLID and not record_events and num_queries:
         # Fused fast path: one backend call runs the DFS and the beat-
-        # structured confirm distances together (the jit backend computes
-        # each candidate's distance inside the leaf visit).  Bit-identical
-        # to the composed path below — the reference semantics of
-        # ``bvh_radius_query`` *is* that composition.
+        # structured confirm distances together.  Bit-identical to the
+        # composed path below — ``bvh_radius_query`` *is* that
+        # composition.
         flat = _flat_arrays(bvh)
         prim_indices = np.asarray(bvh.prim_indices, dtype=np.int64)
         cand_starts, cand_prims, d2, counters = get_backend().bvh_radius_query(

@@ -59,7 +59,6 @@ from repro.gpusim.observability import (
 )
 from repro.gpusim.stats import SimStats
 from repro.gpusim.trace import KernelTrace
-from repro.kernels import BACKEND_ENV_VAR, resolve_backend_name
 
 #: Bump to invalidate every cache entry (stored in, and hashed into, every
 #: key).  Bump it whenever simulator/workload code changes results without
@@ -776,17 +775,12 @@ def _worker(
     cache: str,
     results: str,
     manifests: bool,
-    backend: str = "reference",
 ) -> list[JobRecord]:
     """Pool entry point: run one workload group's jobs in a worker process."""
     os.environ["REPRO_CACHE_DIR"] = cache
     os.environ["REPRO_RESULTS_DIR"] = results
     if not manifests:
         os.environ["REPRO_MANIFESTS"] = "0"
-    # The parent resolves the active kernel backend and threads it here
-    # explicitly — a ``use_backend`` context in the parent must govern the
-    # pool workers too, regardless of the multiprocessing start method.
-    os.environ[BACKEND_ENV_VAR] = backend
     set_cache_mode(mode)
     records = []
     for job in jobs:
@@ -1008,12 +1002,11 @@ def _execute_pool(
     cache = str(cache_dir())
     results = str(results_dir())
     manifests = manifests_enabled()
-    backend = resolve_backend_name()
     with ProcessPoolExecutor(max_workers=min(jobs_n, len(groups))) as pool:
 
         def submit(group: tuple[Job, ...], attempt: int) -> None:
             future = pool.submit(
-                _worker, group, mode, cache, results, manifests, backend
+                _worker, group, mode, cache, results, manifests
             )
             futures[future] = (group, attempt, time.monotonic())
 

@@ -1,9 +1,10 @@
-"""Structure-of-arrays trace lowering for the batched event engine.
+"""Structure-of-arrays trace lowering for the event engine.
 
-The scalar event loop touches a :class:`~repro.gpusim.trace.WarpInstr`
-object per issued instruction: five attribute reads, a string compare per
-kind, and (for loads) a fresh coalescing pass.  :func:`pack_kernel` lowers
-a :class:`~repro.gpusim.trace.KernelTrace` once, at ingest, into flat
+Issuing straight from :class:`~repro.gpusim.trace.WarpInstr` objects (as
+:meth:`~repro.gpusim.gpu.SmCore.issue` does) costs five attribute reads,
+a string compare per kind, and (for loads) a fresh coalescing pass per
+issued instruction.  :func:`pack_kernel` lowers a
+:class:`~repro.gpusim.trace.KernelTrace` once, at ingest, into flat
 per-instruction columns indexed ``gi = starts[warp] + position`` (a CSR
 layout over warps):
 
@@ -16,46 +17,43 @@ layout over warps):
 * ``kcnt`` / ``repeat`` — the per-kind and warp-instruction counter
   increments (HSU chains count once in ``kcnt``),
 * ``able`` — HSU-able attribution flag (Fig. 7),
-* ``pure_ok`` — 1 iff the instruction is *pure*: an ALU/SFU/LDS op with a
-  successor in its warp and ``off >= 1``.  Pure events never touch the
-  memory system, never retire a warp, and always complete strictly after
-  they issue — the three properties that make them safe to run in
-  batches (:mod:`repro.gpusim.engine`) without re-consulting the heap,
-* ``attrs`` — fused per-instruction ``(hold, off)`` tuple for pure
-  instructions, ``None`` otherwise: the engine's singleton chain pays
-  one list index + unpack per event instead of per-column indexings,
-  and ``attrs[gi] is None`` doubles as the pure test,
+* ``attrs`` — fused per-instruction ``(hold, off)`` tuple for *pure*
+  instructions, ``None`` otherwise.  An instruction is pure iff it is an
+  ALU/SFU/LDS op with a successor in its warp and ``off >= 1``: pure
+  events never touch the memory system, never retire a warp, and always
+  complete strictly after they issue — the three properties that let the
+  engine's singleton chain (:mod:`repro.gpusim.engine`) issue them back
+  to back.  The chain pays one list index + unpack per event instead of
+  per-column indexings,
 * ``static_kinds`` / ``static_wi`` / ``static_able`` / ``static_other``
   — per-SM counter totals over all *pure* instructions, precomputed
   here because every instruction issues exactly once per run and a pure
   instruction's whole attribution is static: kind counts and
   warp-instruction counts are trace constants, and its issue-busy span
   is ``done - issue + 1 = off + 1`` regardless of when it issues.  The
-  Python-tier engine seeds its accumulators with these and never
-  attributes pure events in the hot loops (the scalar tier *subtracts
-  nothing* — it simply skips attribution for the pure events it
-  handles, see :mod:`repro.gpusim.engine`).  Placement uses the same
+  engine seeds its accumulators with these and never attributes pure
+  events in the singleton chain (the scalar tier simply skips
+  attribution for the pure events it handles, see
+  :mod:`repro.gpusim.engine`).  Placement uses the same
   round-robin ``smi = warp_index % num_sms`` as the engine,
 * ``lines`` — the precomputed coalesced line list (LDG: the backend's
   ``coalesce_lines`` kernel over all thread addresses; HSU:
   :func:`~repro.gpusim.rtunit.hsu_coalesced_lines` over active threads),
 * ``hsubusy`` — HSU datapath occupancy (``active * beats``).
 
-Columns are plain Python lists (fastest for the engine's scalar indexing)
-with lazily-built int64 numpy mirrors (``*_np``) for the compiled
-``engine_drain`` kernel.  Packing depends only on the config fields named
-in the column definitions — never on scheduler, memory model, backend, or
-engine choice — and is a pure function of the trace, so it cannot perturb
-fingerprints, goldens, or cache keys.
+Columns are plain Python lists (fastest for the engine's scalar
+indexing).  Packing depends only on the config fields named in the
+column definitions — never on scheduler or memory model — and is a pure
+function of the trace, so it cannot perturb fingerprints, goldens, or
+cache keys.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.gpusim.config import GpuConfig
 from repro.gpusim.rtunit import hsu_coalesced_lines
 from repro.gpusim.trace import KIND_CODES, KernelTrace
+from repro.kernels import get_backend
 
 _CODE_LDG = KIND_CODES["ldg"]
 _CODE_HSU = KIND_CODES["hsu"]
@@ -73,7 +71,6 @@ class PackedKernel:
         "kcnt",
         "repeat",
         "able",
-        "pure_ok",
         "attrs",
         "static_kinds",
         "static_wi",
@@ -81,24 +78,16 @@ class PackedKernel:
         "static_other",
         "lines",
         "hsubusy",
-        "starts_np",
-        "pure_np",
-        "hold_np",
-        "off_np",
-        "kind_np",
-        "repeat_np",
-        "able_np",
-        "kcnt_np",
     )
 
-    def __init__(self, kernel: KernelTrace, config: GpuConfig, backend) -> None:
+    def __init__(self, kernel: KernelTrace, config: GpuConfig) -> None:
         latencies = (
             config.alu_latency,
             config.sfu_latency,
             config.shared_latency,
         )
         line_bytes = config.line_bytes
-        coalesce = backend.coalesce_lines
+        coalesce = get_backend().coalesce_lines
         starts = [0]
         lengths = []
         kind: list[int] = []
@@ -107,7 +96,6 @@ class PackedKernel:
         kcnt: list[int] = []
         repeat: list[int] = []
         able: list[int] = []
-        pure_ok: list[int] = []
         attrs: list = []
         lines: list = []
         num_sms = config.num_sms
@@ -155,7 +143,6 @@ class PackedKernel:
                 kcnt.append(kc)
                 repeat.append(rep)
                 able.append(ab)
-                pure_ok.append(pure)
                 if pure:
                     attrs.append((h, o))
                     kinds_row[code] += kc
@@ -179,7 +166,6 @@ class PackedKernel:
         self.kcnt = kcnt
         self.repeat = repeat
         self.able = able
-        self.pure_ok = pure_ok
         self.attrs = attrs
         self.static_kinds = static_kinds
         self.static_wi = static_wi
@@ -187,32 +173,8 @@ class PackedKernel:
         self.static_other = static_other
         self.lines = lines
         self.hsubusy = hsubusy
-        self.starts_np = None
-        self.pure_np = None
-        self.hold_np = None
-        self.off_np = None
-        self.kind_np = None
-        self.repeat_np = None
-        self.able_np = None
-        self.kcnt_np = None
-
-    def ensure_arrays(self) -> None:
-        """Build the int64 numpy mirrors the drain kernel consumes
-        (lazy: the reference engine never needs them)."""
-        if self.starts_np is not None:
-            return
-        self.starts_np = np.asarray(self.starts, dtype=np.int64)
-        self.pure_np = np.asarray(self.pure_ok, dtype=np.int64)
-        self.hold_np = np.asarray(self.hold, dtype=np.int64)
-        self.off_np = np.asarray(self.off, dtype=np.int64)
-        self.kind_np = np.asarray(self.kind, dtype=np.int64)
-        self.repeat_np = np.asarray(self.repeat, dtype=np.int64)
-        self.able_np = np.asarray(self.able, dtype=np.int64)
-        self.kcnt_np = np.asarray(self.kcnt, dtype=np.int64)
 
 
-def pack_kernel(
-    kernel: KernelTrace, config: GpuConfig, backend
-) -> PackedKernel:
+def pack_kernel(kernel: KernelTrace, config: GpuConfig) -> PackedKernel:
     """Lower ``kernel`` for ``config`` (see the module docstring)."""
-    return PackedKernel(kernel, config, backend)
+    return PackedKernel(kernel, config)

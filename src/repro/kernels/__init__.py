@@ -1,31 +1,19 @@
-"""Unified kernel-backend layer (see docs/KERNELS.md).
+"""Kernel layer (see docs/KERNELS.md).
 
 Hot numeric loops — HSU beat distances, BVH lockstep DFS, k-d plane
 stepping, HNSW merged-pool distances, B-tree descent trails, warp
-grouping, load coalescing — live behind a swappable backend object.
-``get_backend()`` resolves the active backend (explicit name >
-``REPRO_KERNEL_BACKEND`` env var > ``GpuConfig.kernel_backend`` >
-``reference``); backends are interchangeable bit for bit.
+grouping, load coalescing — are methods of one numpy backend object;
+``get_backend()`` returns its single instance.
 """
 
 from repro.kernels.registry import (
-    BACKEND_ENV_VAR,
-    KERNEL_BACKENDS,
     get_backend,
     jit_available,
-    register_backend,
-    registered_backends,
     resolve_backend_name,
-    use_backend,
 )
 
 __all__ = [
-    "BACKEND_ENV_VAR",
-    "KERNEL_BACKENDS",
     "get_backend",
     "jit_available",
-    "register_backend",
-    "registered_backends",
     "resolve_backend_name",
-    "use_backend",
 ]

@@ -2,14 +2,10 @@
 
 Every kernel here is the numpy hot loop that used to be inlined at its
 call site — moved, not rewritten — so trace fingerprints, campaign cache
-keys, and the committed goldens are *defined* by this module.  Alternate
-backends (:mod:`repro.kernels.jit`) must reproduce each kernel bit for
-bit; ``tests/test_batch_equivalence.py`` and the backend self-check in
-:func:`repro.kernels.jit.make_jit_backend` enforce that contract.
+keys, and the committed goldens are *defined* by this module.
 
 Kernels take flat arrays and scalars only (no tree objects, no event
-buffers) so compiled backends can implement them without touching Python
-data structures; the thin wrappers that own validation, event-log
+buffers); the thin wrappers that own validation, event-log
 finalization, and stats accounting stay at the call sites
 (``repro/core/ops.py``, ``repro/bvh/traversal.py``, ``repro/kdtree``,
 ``repro/graph``, ``repro/btree``, ``repro/compiler``, ``repro/gpusim``).
@@ -45,13 +41,6 @@ class ReferenceBackend:
     """Numpy implementations of every registered hot kernel."""
 
     name = "reference"
-
-    #: Whether the batched event engine should route quiescent stretches
-    #: through :meth:`engine_drain`.  The reference implementation is an
-    #: executable specification — a Python event loop that would only
-    #: re-add the interpreter overhead the batched engine removes — so the
-    #: reference backend keeps this off; the jit backend turns it on.
-    engine_drain_enabled = False
 
     # -- HSU distance kernels (beat-structured, repro/core/ops.py) --------
 
@@ -573,8 +562,7 @@ class ReferenceBackend:
         over the gathered ``(query_row, candidate_point)`` pairs — so the
         distances bit-match the unfused
         ``point_query_batch`` + ``rowwise_euclid_dist`` pipeline row for
-        row.  The jit backend fuses the distance loop into the leaf visit
-        itself.  Returns ``(cand_starts, cand_prims, d2, counters)`` with
+        row.  Returns ``(cand_starts, cand_prims, d2, counters)`` with
         ``d2`` float32 per candidate (unfiltered — thresholding and
         sorting stay at the call site).
         """
@@ -599,147 +587,3 @@ class ReferenceBackend:
         else:
             d2 = np.empty(0, dtype=np.float32)
         return cand_starts, cand_prims, d2, counters
-
-    # -- event-engine stepping (repro/gpusim/engine.py) -------------------
-
-    def engine_advance(
-        self,
-        ready: np.ndarray,
-        port: np.ndarray,
-        hold: np.ndarray,
-        off: np.ndarray,
-        port_busy: np.ndarray,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Issue one policy-ordered batch of pure (ALU/SFU/LDS) events.
-
-        All arrays are int64.  Event ``i`` issues on sub-core issue port
-        ``port[i]`` no earlier than ``ready[i]``, holds the port for
-        ``hold[i]`` cycles, and completes ``off[i]`` cycles after issue.
-        ``port_busy`` (busy-until per flat port id) is updated in place;
-        returns ``(issue, done)``.
-
-        Per port the grant chain is the sequential recurrence
-        ``issue_i = max(busy, ready_i); busy = issue_i + hold_i`` applied
-        in batch order.  This vectorized form closes the recurrence with
-        an exclusive cumulative sum of holds and a running maximum:
-        ``issue_i = C_i + max(busy_0, max_{j<=i}(ready_j - C_j))`` —
-        exact integer arithmetic, so it is bit-identical to the scalar
-        chain the batched engine (and the jit backend's loop) computes.
-        """
-        issue = np.empty_like(ready)
-        for p in np.unique(port):
-            mask = port == p
-            r = ready[mask]
-            h = hold[mask]
-            c = np.zeros(r.shape[0], dtype=r.dtype)
-            np.cumsum(h[:-1], out=c[1:])
-            chain = np.maximum.accumulate(r - c)
-            s = c + np.maximum(port_busy[p], chain)
-            issue[mask] = s
-            port_busy[p] = s[-1] + h[-1]
-        return issue, issue + off
-
-    def engine_drain(
-        self,
-        ev_ready: np.ndarray,
-        ev_windex: np.ndarray,
-        ev_pos: np.ndarray,
-        ev_seq: np.ndarray,
-        starts: np.ndarray,
-        pure_ok: np.ndarray,
-        hold: np.ndarray,
-        off: np.ndarray,
-        kindcode: np.ndarray,
-        repeat: np.ndarray,
-        able: np.ndarray,
-        warp_port: np.ndarray,
-        warp_sm: np.ndarray,
-        port_busy: np.ndarray,
-        kinds_acc: np.ndarray,
-        wi_acc: np.ndarray,
-        able_acc: np.ndarray,
-        other_acc: np.ndarray,
-        policy_code: int,
-        clock: int,
-        idle: int,
-        seq: int,
-    ) -> tuple[int, int, int, int]:
-        """Run a whole quiescent stretch of the event engine in one call.
-
-        The executable specification of the jit backend's compiled event
-        loop: given every queued event (one per in-flight warp — slot
-        arrays ``ev_*``), repeatedly select the policy-minimum event and,
-        while it is a *pure* non-final instruction (``pure_ok`` — ALU/SFU/
-        LDS with a successor, i.e. no memory-system interaction and no
-        retirement), issue it and requeue the warp's next instruction in
-        place.  Stops — without touching the clock — as soon as the
-        policy-minimum event is not pure, leaving every remaining event in
-        the slot arrays for the caller to push back onto its heap.
-
-        ``policy_code``: 0 = gto ``(ready, windex)``, 1 = lrr
-        ``(ready, seq)`` (``seq`` continues the scheduler's push counter),
-        2 = oldest ``(ready, position, windex)``.  Mutates the slot
-        arrays, ``port_busy``, and the per-SM counter accumulators in
-        place; returns ``(clock, idle, events, seq)``.
-        """
-        n = ev_ready.shape[0]
-        events = 0
-        while True:
-            best = 0
-            br = ev_ready[0]
-            if policy_code == 0:
-                bk1 = ev_windex[0]
-                bk2 = 0
-            elif policy_code == 1:
-                bk1 = ev_seq[0]
-                bk2 = 0
-            else:
-                bk1 = ev_pos[0]
-                bk2 = ev_windex[0]
-            for i in range(1, n):
-                r = ev_ready[i]
-                if policy_code == 0:
-                    k1 = ev_windex[i]
-                    k2 = 0
-                elif policy_code == 1:
-                    k1 = ev_seq[i]
-                    k2 = 0
-                else:
-                    k1 = ev_pos[i]
-                    k2 = ev_windex[i]
-                if r < br or (
-                    r == br and (k1 < bk1 or (k1 == bk1 and k2 < bk2))
-                ):
-                    best = i
-                    br = r
-                    bk1 = k1
-                    bk2 = k2
-            w = ev_windex[best]
-            gi = starts[w] + ev_pos[best]
-            if pure_ok[gi] == 0:
-                break
-            r = ev_ready[best]
-            if r > clock:
-                idle += r - clock - 1
-                clock = r
-            events += 1
-            p = warp_port[w]
-            b = port_busy[p]
-            s = b if b > r else r
-            port_busy[p] = s + hold[gi]
-            done = s + off[gi]
-            smi = warp_sm[w]
-            rep = repeat[gi]
-            kinds_acc[smi, kindcode[gi]] += rep
-            wi_acc[smi] += rep
-            busy = done - s + 1
-            if able[gi] != 0:
-                able_acc[smi] += busy
-            else:
-                other_acc[smi] += busy
-            ev_ready[best] = done
-            ev_pos[best] += 1
-            if policy_code == 1:
-                seq += 1
-                ev_seq[best] = seq
-        return int(clock), int(idle), int(events), int(seq)

@@ -16,10 +16,9 @@ Euclidean traversal machinery the RT cores already accelerate, two ways:
   Euclidean traversal prunes safely and an exact metric distance test at
   the leaves (:func:`batch_metric_dist`) recovers the true answer.
 
-Distance arithmetic is delegated to the kernel backend registry
+Distance arithmetic is delegated to the kernel backend
 (:mod:`repro.kernels`) with the same float32 beat semantics as the
-Euclidean path, so every measure is bit-identical under the ``reference``
-and ``jit`` backends.  This module sits below the search substrates: it
+Euclidean path.  This module sits below the search substrates: it
 imports only :mod:`repro.core`, :mod:`repro.kernels`, and
 :mod:`repro.errors`.
 """

@@ -2,11 +2,9 @@
 
 Covers the api_redesign contract: every input shape (named workload,
 ``WorkloadRun``, ``TraceBundle``, ``KernelTrace``) simulates to the same
-``SimStats``, and the per-call ``cache=`` / ``backend=`` overrides are
-scoped to the call.
+``SimStats``, and the per-call ``cache=`` override is scoped to the
+call.
 """
-
-import os
 
 import pytest
 
@@ -14,7 +12,6 @@ from repro import api
 from repro.errors import ConfigError
 from repro.experiments import campaign, common
 from repro.gpusim import KernelTrace, WarpInstr, WarpTrace
-from repro.kernels import BACKEND_ENV_VAR
 from repro.workloads import run_btree, to_traces
 
 FAMILY, ABBR, QUERIES = "btree", "B+10K", 32
@@ -129,23 +126,3 @@ class TestRemovedShims:
 
     def test_trace_bundle_alias_survives(self):
         assert common.trace_bundle is api.trace_bundle
-
-
-class TestBackendOverride:
-    def test_unknown_backend_is_rejected_before_running(self):
-        before = campaign.cache_stats.snapshot()
-        with pytest.raises(ConfigError, match="backend"):
-            api.simulate((FAMILY, ABBR), queries=QUERIES, backend="cuda")
-        assert campaign.cache_stats.delta(before).misses == 0
-
-    def test_backend_reference_matches_default_and_is_scoped(self,
-                                                             monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        default = api.simulate((FAMILY, ABBR), variant="baseline",
-                               queries=QUERIES)
-        api.clear_caches()
-        explicit = api.simulate((FAMILY, ABBR), variant="baseline",
-                                queries=QUERIES, backend="reference",
-                                cache="off")
-        assert explicit == default
-        assert BACKEND_ENV_VAR not in os.environ

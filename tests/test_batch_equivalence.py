@@ -1,15 +1,9 @@
-"""Batched query engine == scalar reference, bit for bit, per backend.
+"""Batched query engine == scalar reference, bit for bit.
 
 The batched kernels (PR: vectorized frontier traversal + array-backed trace
 recording) must reproduce the scalar per-query searches exactly — same
 neighbors, same event streams, same lowered traces — across structures,
 metrics, dtypes, and degenerate inputs.  These tests are the contract.
-
-Every test in this module runs once per kernel backend (the module-level
-autouse fixture): the ``reference`` numpy backend and, when numba is
-installed, the ``jit`` backend — goldens, fingerprints, and per-query
-neighbor/event equality must hold bit-for-bit under both
-(docs/KERNELS.md).
 """
 
 from __future__ import annotations
@@ -18,8 +12,6 @@ import pickle
 
 import numpy as np
 import pytest
-
-from repro.kernels import jit_available, use_backend
 
 from repro.compiler.assembler import (
     PACKED_TALU,
@@ -49,19 +41,11 @@ from repro.compiler.ops import (
 from repro.search import BvhRadiusIndex, HnswIndex, KdTreeIndex
 
 
-@pytest.fixture(
-    autouse=True,
-    params=[
-        "reference",
-        pytest.param("jit", marks=pytest.mark.skipif(
-            not jit_available(), reason="numba not installed"
-        )),
-    ],
-)
-def kernel_backend(request):
-    """Run the whole module once per kernel backend."""
-    with use_backend(request.param):
-        yield request.param
+@pytest.fixture(autouse=True, params=["reference"])
+def backend_name(request):
+    """Every test here runs on the one kernel backend; the parameter
+    keeps the ``[reference]`` suffix of the test ids stable."""
+    return request.param
 
 
 def _scalar_reference(index, queries, **params):
@@ -331,8 +315,8 @@ class TestLoweredTraces:
         from repro import api
         from repro.experiments.common import trace_bundle
 
-        # The bundle memo may hold traces generated under another
-        # backend; regenerate under the active one so the pin is real.
+        # Regenerate rather than reuse a memoized bundle, so the pin
+        # covers a fresh run of the batched pipeline.
         api.clear_caches()
         golden = json.loads(
             (Path(__file__).parent / "goldens" / "gpusim_smoke.json")

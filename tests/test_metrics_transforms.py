@@ -1,12 +1,10 @@
-"""The metric vocabulary and Arkade space transforms, per kernel backend.
+"""The metric vocabulary and Arkade space transforms.
 
 The transform layer (``repro.metrics.transforms``) is the numeric
 foundation of the non-Euclidean workload family (docs/WORKLOADS.md):
 these tests pin its contracts — transform round-trips, the zero-vector
 cosine convention, degenerate dimensions, duplicate points, ``k`` out of
-range — and, via the module-level autouse fixture, hold them bit-for-bit
-under both the ``reference`` and (when numba is installed) ``jit``
-kernel backends.
+range.
 """
 
 from __future__ import annotations
@@ -15,7 +13,6 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, DatasetError, IsaError
-from repro.kernels import jit_available, use_backend
 from repro.metrics.transforms import (
     ARKADE_METRICS,
     FILTER_METRICS,
@@ -34,19 +31,11 @@ from repro.metrics.transforms import (
 from repro.search import KdTreeIndex, QuerySpec
 
 
-@pytest.fixture(
-    autouse=True,
-    params=[
-        "reference",
-        pytest.param("jit", marks=pytest.mark.skipif(
-            not jit_available(), reason="numba not installed"
-        )),
-    ],
-)
-def kernel_backend(request):
-    """Run the whole module once per kernel backend."""
-    with use_backend(request.param):
-        yield request.param
+@pytest.fixture(autouse=True, params=["reference"])
+def backend_name(request):
+    """Every test here runs on the one kernel backend; the parameter
+    keeps the ``[reference]`` suffix of the test ids stable."""
+    return request.param
 
 
 def _points(count: int, dim: int = 4, seed: int = 0) -> np.ndarray:

@@ -201,7 +201,6 @@ class TestSimulateValidation:
             dict(variant="turbo"),
             dict(config="not-a-config"),
             dict(cache="sometimes"),
-            dict(backend="cuda"),
             dict(scale=0.0),
             dict(shards=0),
             dict(shards=2, shard=2),
@@ -217,7 +216,7 @@ class TestSimulateValidation:
 
         api.validate_simulate_args(
             variant="baseline", config=VOLTA_V100, cache="off",
-            backend="reference", scale=2.0, shards=4, shard=3,
+            scale=2.0, shards=4, shard=3,
             metric="cosine",
         )
 

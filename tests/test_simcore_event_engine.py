@@ -25,10 +25,7 @@ from repro.gpusim.config import (
     SCHEDULER_POLICIES,
     GpuConfig,
 )
-from repro.gpusim.engine import ADVANCE_THRESHOLD
 from repro.gpusim.gpu import GpuSimulator
-from repro.kernels import register_backend
-from repro.kernels.jit import JitBackend, make_jit_backend
 from repro.gpusim.resource import PipelinedLane, Port, SlotPool, Timeline
 from repro.gpusim.stats import SimStats
 from repro.gpusim.trace import KernelTrace, WarpInstr, WarpTrace
@@ -200,6 +197,21 @@ class TestEngineMatchesReference:
         skipped = sim.registry.value("gpu/engine/idle_cycles_skipped")
         assert 0 <= skipped < stats.cycles
 
+    def test_chain_events_count_the_pure_issues(self):
+        """Seven ALU ops in one warp: the first six have a successor, so
+        the singleton chain issues them; the last retires the warp in the
+        scalar tier.  The gauge stays out of SimStats."""
+        kernel = KernelTrace(
+            warps=[WarpTrace(instructions=[WarpInstr("alu")] * 7)],
+            name="alu-chain",
+        )
+        sim = GpuSimulator(SMALL, kernel)
+        stats = sim.run()
+        assert sim.registry.value("gpu/engine/chain_events") == 6
+        assert sim.registry.value("gpu/engine/events") == 7
+        assert stats == per_cycle_run(GpuSimulator(SMALL, kernel))
+        assert "chain" not in json.dumps(stats.to_json_dict())
+
     def test_single_warp_single_instruction(self):
         kernel = KernelTrace(
             warps=[WarpTrace(instructions=[WarpInstr("alu")])], name="tiny"
@@ -209,51 +221,17 @@ class TestEngineMatchesReference:
         assert event_stats == reference
         assert event_stats.warp_instructions == 1
 
-
-class TestBatchedMatchesScalar:
-    """The warp-batched SoA engine against the scalar per-instruction
-    loop (``engine="scalar"``): :class:`SimStats` must be bit-identical
-    for every policy, memory model, and backend tier the batched engine
-    can route through."""
-
     @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
-    @pytest.mark.parametrize("memory", MEMORY_MODELS)
-    def test_identical_stats_on_random_traces(self, policy, memory):
-        base = 7000 * SCHEDULER_POLICIES.index(policy)
-        base += 700 * MEMORY_MODELS.index(memory)
-        for seed in range(3):
-            rng = random.Random(base + seed)
-            kernel = random_kernel(rng, num_warps=rng.randint(1, 12))
-            batched = GpuSimulator(
-                replace(
-                    SMALL, scheduler=policy, memory=memory, engine="batched"
-                ),
-                kernel,
-            ).run()
-            scalar = GpuSimulator(
-                replace(
-                    SMALL, scheduler=policy, memory=memory, engine="scalar"
-                ),
-                kernel,
-            ).run()
-            assert batched == scalar, (
-                f"policy={policy} memory={memory} seed={base + seed}"
-            )
-
-    @pytest.mark.parametrize("policy", SCHEDULER_POLICIES)
-    def test_mass_horizon_advance_tier(self, policy):
-        """Enough same-cycle pure events to cross ``ADVANCE_THRESHOLD``,
-        so the vectorized ``engine_advance`` tier (not just the singleton
-        chain) is exercised against the scalar loop."""
+    def test_mass_horizon(self, policy):
+        """An admission wave of 128 pure warps all due at cycle 0: the
+        singleton chain carries the whole horizon, and each successor
+        must still wait for the rest of the wave in policy order."""
         wide = replace(
-            SMALL,
-            scheduler=policy,
-            max_warps_per_sm=ADVANCE_THRESHOLD,
-            warp_buffer_size=8,
+            SMALL, scheduler=policy, max_warps_per_sm=64, warp_buffer_size=8
         )
         rng = random.Random(SCHEDULER_POLICIES.index(policy))
         warps = []
-        for windex in range(2 * ADVANCE_THRESHOLD):
+        for windex in range(128):
             instrs = [
                 WarpInstr(
                     rng.choice(("alu", "sfu", "lds")),
@@ -266,36 +244,13 @@ class TestBatchedMatchesScalar:
             ]
             warps.append(WarpTrace(instructions=instrs, label=f"w{windex}"))
         kernel = KernelTrace(warps=warps, name="mass-horizon")
-        batched = GpuSimulator(wide, kernel).run()
-        scalar = GpuSimulator(wide.with_engine("scalar"), kernel).run()
-        assert batched == scalar, policy
+        event_stats = GpuSimulator(wide, kernel).run()
+        reference = per_cycle_run(GpuSimulator(wide, kernel))
+        assert event_stats == reference, policy
 
-    def test_identical_stats_under_drain_tier_backend(self):
-        """The compiled-drain tier (``engine_drain_enabled`` backends).
-
-        ``get_backend("jit")`` degrades to the reference instance when
-        numba is absent, which would silently skip the drain tier — so
-        force the registry to hand out a directly-constructed
-        :class:`JitBackend` (its kernels run as plain Python without
-        numba, drain included)."""
-        register_backend("jit", JitBackend)
-        try:
-            config = replace(SMALL, kernel_backend="jit")
-            for seed in range(3):
-                rng = random.Random(31_000 + seed)
-                kernel = random_kernel(rng, num_warps=rng.randint(2, 12))
-                batched = GpuSimulator(config, kernel).run()
-                scalar = GpuSimulator(
-                    config.with_engine("scalar"), kernel
-                ).run()
-                assert batched == scalar, seed
-        finally:
-            register_backend("jit", make_jit_backend)
-
-    def test_batched_reproduces_committed_golden(self):
-        """Golden pin: the batched engine (the default) must land on the
-        committed ``gpusim_smoke.json`` stats bit-exactly, and so must
-        the scalar loop — the golden is engine-independent."""
+    def test_reproduces_committed_golden(self):
+        """Golden pin: the engine must land on the committed
+        ``gpusim_smoke.json`` stats bit-exactly."""
         from repro.experiments.common import config_for, trace_bundle
 
         golden_path = (
@@ -308,23 +263,10 @@ class TestBatchedMatchesScalar:
         bundle = trace_bundle(family, abbr, 64)
         trace = bundle.baseline if variant == "baseline" else bundle.hsu
         config = config_for(family)
-        assert config.engine == "batched"  # golden pins the default stack
         assert trace.fingerprint() == entry["trace_sha"], key
         assert config.stable_hash() == entry["config_sha"], key
-        for engine in ("batched", "scalar"):
-            stats = GpuSimulator(config.with_engine(engine), trace).run()
-            assert stats.to_json_dict() == entry["simstats"], (key, engine)
-
-    def test_engine_excluded_from_stable_hash(self):
-        """Engines are interchangeable bit for bit, so — exactly like
-        ``kernel_backend`` — the engine field must never bust a cache key
-        or move a manifest config_sha."""
-        batched = GpuConfig()
-        assert batched.engine == "batched"
-        scalar = batched.with_engine("scalar")
-        assert batched.stable_hash() == scalar.stable_hash()
-        changed = replace(batched, num_sms=batched.num_sms + 1)
-        assert changed.stable_hash() != batched.stable_hash()
+        stats = GpuSimulator(config, trace).run()
+        assert stats.to_json_dict() == entry["simstats"], key
 
 
 class LinearScanLane:
