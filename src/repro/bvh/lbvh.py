@@ -20,7 +20,6 @@ original per-object build; the trace goldens depend on this.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 
 import numpy as np
@@ -32,24 +31,6 @@ from repro.geometry.morton import morton_encode_points
 
 #: Bits in a 30-bit Morton code.
 _CODE_BITS = 30
-
-
-def _find_split(codes: np.ndarray, first: int, last: int) -> int:
-    """Index of the last element of the left child range in ``[first, last]``.
-
-    Splits at the highest bit where the range's codes first differ; degrades
-    to the midpoint when all codes in the range are equal.
-    """
-    first_code = int(codes[first])
-    last_code = int(codes[last])
-    if first_code == last_code:
-        return (first + last) >> 1
-    # Codes are sorted, so the highest differing bit flips 0 -> 1 exactly
-    # once inside the range: the split is just before the first code with
-    # that bit set (equivalent to Karras's common-prefix binary search).
-    diff_bit = (first_code ^ last_code).bit_length() - 1
-    pivot = ((first_code >> diff_bit) | 1) << diff_bit
-    return bisect_left(codes, pivot, first, last + 1) - 1
 
 
 def build_lbvh(
@@ -120,11 +101,14 @@ def _build_from_corners(
         differ = np.flatnonzero(fc != lc)
         if differ.size:
             # Highest differing bit via the float64 exponent (codes are 30
-            # bits, exactly representable), then the same pivot arithmetic
-            # as _find_split.  Each range is a slice of the globally sorted
-            # code array — everything before ``first`` is <= first_code <
-            # pivot and codes[last] >= pivot — so a single global
-            # searchsorted equals the range-bounded bisect_left.
+            # bits, exactly representable).  Codes are sorted, so that bit
+            # flips 0 -> 1 exactly once inside the range: the left child
+            # ends just before the first code >= pivot, the range's common
+            # prefix with that bit set (Karras's common-prefix binary
+            # search).  Each range is a slice of the globally sorted code
+            # array — everything before ``first`` is <= first_code < pivot
+            # and codes[last] >= pivot — so a single global searchsorted
+            # equals a range-bounded search.
             xor = (fc[differ] ^ lc[differ]).astype(np.float64)
             diff_bit = np.frexp(xor)[1].astype(np.int64) - 1
             pivot = ((fc[differ] >> diff_bit) | np.int64(1)) << diff_bit
@@ -222,35 +206,6 @@ def _build_from_corners(
         arity=2,
         root=root,
     )
-
-
-def _find_split_fast(code_list: list[int], first: int, last: int) -> int:
-    """:func:`_find_split` over a pre-converted Python int list."""
-    first_code = code_list[first]
-    last_code = code_list[last]
-    if first_code == last_code:
-        return (first + last) >> 1
-    diff_bit = (first_code ^ last_code).bit_length() - 1
-    pivot = ((first_code >> diff_bit) | 1) << diff_bit
-    return bisect_left(code_list, pivot, first, last + 1) - 1
-
-
-def _refit_boxes(bvh: Bvh) -> None:
-    """Compute internal-node boxes bottom-up (post-order over the tree)."""
-    post_order: list[int] = []
-    stack = [bvh.root]
-    while stack:
-        index = stack.pop()
-        post_order.append(index)
-        stack.extend(bvh.nodes[index].children)
-    for index in reversed(post_order):
-        node = bvh.nodes[index]
-        if node.is_leaf:
-            continue
-        box = Aabb.empty()
-        for child in node.children:
-            box = box.union(bvh.nodes[child].aabb)
-        node.aabb = box
 
 
 def build_lbvh_for_points(

@@ -76,10 +76,10 @@ class PackedNodes(_SequenceBase):
 
     The cache guarantees index ``i`` always yields the *same* node object,
     so in-place mutation (refits, collapse orphaning) behaves exactly as it
-    would on an eager list.  Traversal fast paths may read the packed
-    topology (``child_lists``/``firsts``/``counts``) and the corner rows
-    directly instead of materializing nodes; a materialized node aliases
-    its ``child_lists`` entry, never a copy.
+    would on an eager list.  The batched traversal kernels read the packed
+    topology (:meth:`flat_topology`) and the corner arrays directly
+    instead of materializing nodes; a materialized node aliases its
+    ``child_lists`` entry, never a copy.
     """
 
     __slots__ = (
@@ -92,7 +92,6 @@ class PackedNodes(_SequenceBase):
         "_left",
         "_right",
         "_cache",
-        "_rows",
         "_flat",
     )
 
@@ -106,7 +105,6 @@ class PackedNodes(_SequenceBase):
         self._right: np.ndarray | None = None
         self.parents = parents
         self._cache: list[BvhNode | None] = [None] * len(parents)
-        self._rows: tuple[list, list] | None = None
         self._flat: tuple | None = None
 
     @classmethod
@@ -130,16 +128,6 @@ class PackedNodes(_SequenceBase):
                 pair if pair[0] >= 0 else None for pair in pairs
             ]
         return self._child_lists
-
-    def corner_rows(self) -> tuple[list, list]:
-        """Corner coordinates as cached plain-float row lists.
-
-        ``tolist()`` converts every float64 exactly; traversal inner loops
-        compare plain floats instead of paying numpy scalar overhead.
-        """
-        if self._rows is None:
-            self._rows = (self.lo.tolist(), self.hi.tolist())
-        return self._rows
 
     def flat_topology(self) -> tuple:
         """Topology as flat arrays for the batched traversal kernels.

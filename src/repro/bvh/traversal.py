@@ -16,7 +16,6 @@ from typing import Callable
 import numpy as np
 
 from repro.bvh.node import Bvh, PackedNodes
-from repro.core.isa import EUCLID_WIDTH
 from repro.core.ops import batch_euclid_dist, rowwise_euclid_dist
 from repro.geometry.intersect_box import intersect_ray_box
 from repro.geometry.intersect_tri import TriangleHit, intersect_ray_triangle
@@ -107,8 +106,6 @@ def point_query(
     every axis (a candidate for the real distance test).
     """
     stats = stats if stats is not None else TraversalStats()
-    if isinstance(bvh.nodes, PackedNodes):
-        return _point_query_packed(bvh, query, stats)
     q = Vec3(float(query[0]), float(query[1]), float(query[2]))
     candidates: list[int] = []
     stack = [bvh.root]
@@ -124,53 +121,6 @@ def point_query(
         pushes = 0
         for child_index in node.children:
             if bvh.nodes[child_index].aabb.contains_point(q):
-                stack.append(child_index)
-                pushes += 1
-        stats.stack_op(pushes)
-    return candidates
-
-
-def _point_query_packed(
-    bvh: Bvh, query: np.ndarray, stats: TraversalStats
-) -> list[int]:
-    """:func:`point_query` over a :class:`PackedNodes` tree.
-
-    Identical visit order, stats, and events — the loop reads the packed
-    topology and plain-float corner rows instead of materializing node
-    objects (``Aabb.contains_point`` is the same chained ``<=`` compare).
-    """
-    nodes = bvh.nodes
-    lo_rows, hi_rows = nodes.corner_rows()
-    child_lists = nodes.child_lists
-    firsts = nodes.firsts
-    counts = nodes.counts
-    prim_indices = bvh.prim_indices
-    qx = float(query[0])
-    qy = float(query[1])
-    qz = float(query[2])
-    candidates: list[int] = []
-    stack = [bvh.root]
-    while stack:
-        stats.note_stack_depth(len(stack))
-        index = stack.pop()
-        children = child_lists[index]
-        if children is None:
-            stats.visit_leaf(index)
-            first = firsts[index]
-            candidates.extend(
-                int(p) for p in prim_indices[first : first + counts[index]]
-            )
-            continue
-        stats.visit_box_node(index, len(children))
-        pushes = 0
-        for child_index in children:
-            lo = lo_rows[child_index]
-            hi = hi_rows[child_index]
-            if (
-                lo[0] <= qx <= hi[0]
-                and lo[1] <= qy <= hi[1]
-                and lo[2] <= qz <= hi[2]
-            ):
                 stack.append(child_index)
                 pushes += 1
         stats.stack_op(pushes)
@@ -323,11 +273,6 @@ def radius_search_batch(
     scalar path's stable ``sort(key=d2)`` over traversal-ordered hits.
     ``metric`` switches the confirm kernel and threshold exactly as in the
     scalar :func:`radius_search`.
-
-    When the metric is Euclidean and no event log is requested, the
-    traversal and the confirm distances run as one ``bvh_radius_query``
-    backend call, whose semantics is exactly the composed pipeline, so
-    results are unchanged to the bit.
     """
     queries = np.asarray(queries, dtype=np.float64)
     validate_metric(
@@ -335,50 +280,24 @@ def radius_search_batch(
     )
     num_queries = queries.shape[0]
     threshold = radius * radius if metric == METRIC_EUCLID else radius
-    if metric == METRIC_EUCLID and not record_events and num_queries:
-        # Fused fast path: one backend call runs the DFS and the beat-
-        # structured confirm distances together.  Bit-identical to the
-        # composed path below — ``bvh_radius_query`` *is* that
-        # composition.
-        flat = _flat_arrays(bvh)
-        prim_indices = np.asarray(bvh.prim_indices, dtype=np.int64)
-        cand_starts, cand_prims, d2, counters = get_backend().bvh_radius_query(
-            queries, np.asarray(points), EUCLID_WIDTH,
-            *flat, prim_indices, bvh.root,
-        )
-        if stats is not None:
-            nodes_visited, box_nodes, box_tests, leaf_visits, depth = counters
-            stats.nodes_visited += nodes_visited
-            stats.box_nodes_visited += box_nodes
-            stats.box_tests += box_tests
-            stats.leaf_visits += leaf_visits
-            stats.note_stack_depth(depth)
-            stats.prim_tests += cand_prims.size
-        cand_qids = np.repeat(
-            np.arange(num_queries, dtype=np.int64), np.diff(cand_starts)
-        )
-        travel_log = None
-    else:
-        cand_starts, cand_prims, travel_log = point_query_batch(
-            bvh, queries, record_events=record_events, stats=stats
-        )
-        cand_qids = np.repeat(
-            np.arange(num_queries, dtype=np.int64), np.diff(cand_starts)
-        )
-        d2 = None
+    cand_starts, cand_prims, travel_log = point_query_batch(
+        bvh, queries, record_events=record_events, stats=stats
+    )
+    cand_qids = np.repeat(
+        np.arange(num_queries, dtype=np.int64), np.diff(cand_starts)
+    )
     log = travel_log
     if cand_prims.size:
-        if d2 is None:
-            if metric == METRIC_EUCLID:
-                d2 = rowwise_euclid_dist(
-                    queries[cand_qids], np.asarray(points)[cand_prims]
-                )
-            else:
-                d2 = rowwise_metric_dist(
-                    queries[cand_qids], np.asarray(points)[cand_prims], metric
-                )
-            if stats is not None:
-                stats.prim_tests += cand_prims.size
+        if metric == METRIC_EUCLID:
+            d2 = rowwise_euclid_dist(
+                queries[cand_qids], np.asarray(points)[cand_prims]
+            )
+        else:
+            d2 = rowwise_metric_dist(
+                queries[cand_qids], np.asarray(points)[cand_prims], metric
+            )
+        if stats is not None:
+            stats.prim_tests += cand_prims.size
         if record_events:
             dist_log = EventLog.from_sorted(
                 BVH_EVENT_KINDS,

@@ -36,7 +36,7 @@ from repro.analysis.tables import format_table
 from repro.bvh.lbvh import build_lbvh_for_points
 from repro.bvh.quality import sah_cost
 from repro.bvh.sah import build_sah
-from repro.bvh.traversal import TraversalStats, radius_search
+from repro.bvh.traversal import TraversalStats, radius_search_batch
 from repro.datasets.registry import load_dataset
 from repro import api
 from repro.experiments.common import config_for, default_config
@@ -136,8 +136,7 @@ def build_quality(abbr: str = "R10K", num_queries: int = 256) -> dict[str, objec
     stats = {}
     for label, bvh in (("lbvh", lbvh), ("sah", sah)):
         traversal = TraversalStats()
-        for query in queries:
-            radius_search(bvh, points, query, radius, traversal)
+        radius_search_batch(bvh, points, queries, radius, stats=traversal)
         stats[label] = {
             "sah_cost": sah_cost(bvh),
             "box_tests_per_query": traversal.box_tests / num_queries,

@@ -119,16 +119,6 @@ class RtUnit:
         self._buffer = SlotPool(config.warp_buffer_size)
         self._pipe = PipelinedLane()
 
-    def _fetch_line(self, line: int, time: int) -> int:
-        """Fetch one operand line through the configured path."""
-        if self._private is not None:
-            ready, _hit = self._private.access(line, time)
-            return ready
-        if self.config.rt_fetch_bypass_l1 and self._fill_path is not None:
-            return self._fill_path(line, time)
-        ready, _hit = self.l1.access(line, time)
-        return ready
-
     def execute(self, instr: WarpInstr, issue_time: int) -> int:
         """Run one HSU warp instruction; returns result-ready cycle."""
         return self.execute_packed(

@@ -534,56 +534,3 @@ class ReferenceBackend:
                 for line in range(first, last + 1, line_bytes):
                     add(line)
         return sorted(lines)
-
-    # -- BVH radius query with fused leaf distances (bvh/traversal.py) ----
-
-    def bvh_radius_query(
-        self,
-        queries: np.ndarray,
-        points: np.ndarray,
-        width: int,
-        is_leaf: np.ndarray,
-        child_off: np.ndarray,
-        child_cnt: np.ndarray,
-        child_idx: np.ndarray,
-        firsts: np.ndarray,
-        counts: np.ndarray,
-        lo: np.ndarray,
-        hi: np.ndarray,
-        prim_indices: np.ndarray,
-        root: int,
-    ) -> tuple:
-        """Leaf-distance variant of :meth:`bvh_point_query`.
-
-        Same DFS, but every leaf candidate also gets its beat-structured
-        squared Euclidean distance to its query (the confirm step of a
-        radius search).  The reference semantics is *composition*: the
-        point-query traversal followed by :meth:`euclid_beats_rowwise`
-        over the gathered ``(query_row, candidate_point)`` pairs — so the
-        distances bit-match the unfused
-        ``point_query_batch`` + ``rowwise_euclid_dist`` pipeline row for
-        row.  Returns ``(cand_starts, cand_prims, d2, counters)`` with
-        ``d2`` float32 per candidate (unfiltered — thresholding and
-        sorting stay at the call site).
-        """
-        (
-            cand_starts, cand_prims,
-            _codes, _idents, _payloads, _starts,
-            counters,
-        ) = self.bvh_point_query(
-            queries, is_leaf, child_off, child_cnt, child_idx,
-            firsts, counts, lo, hi, prim_indices, root, False, 0, 0,
-        )
-        if cand_prims.size:
-            qids = np.repeat(
-                np.arange(queries.shape[0], dtype=_INT),
-                np.diff(cand_starts),
-            )
-            qrows = np.ascontiguousarray(queries[qids], dtype=np.float32)
-            crows = np.ascontiguousarray(
-                np.asarray(points)[cand_prims], dtype=np.float32
-            )
-            d2 = self.euclid_beats_rowwise(qrows, crows, width)
-        else:
-            d2 = np.empty(0, dtype=np.float32)
-        return cand_starts, cand_prims, d2, counters

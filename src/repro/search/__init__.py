@@ -1,6 +1,6 @@
 """Unified search-index surface over the paper's hierarchical structures.
 
-:class:`~repro.search.base.SearchIndex` is the ``build`` / ``query`` /
+:class:`~repro.search.base.SearchIndex` is the ``build`` /
 ``query_batch`` / ``stats`` protocol every substrate satisfies; the
 adapters wrap the structure-specific modules so workload generators
 import exactly one package:
@@ -12,9 +12,12 @@ import exactly one package:
 
 Each adapter also publishes its instrumented event-kind constants
 (``EVENT_*`` class attributes) and the layout hooks (sorted point orders,
-node counts) the trace compiler addresses memory through.  Batched
-queries return :class:`~repro.search.events.BatchResult` — per-query
-neighbor lists plus an array-backed :class:`~repro.search.events.EventLog`.
+node counts) the trace compiler addresses memory through.  Queries run
+only in batches: ``query_batch(queries, spec=QuerySpec(...))`` returns a
+:class:`~repro.search.events.BatchResult` — per-query neighbor lists plus
+an array-backed :class:`~repro.search.events.EventLog` — and every
+adapter validates the spec (:func:`resolve_spec`) and the query block
+(:func:`query_block`) before any kernel runs.
 
 The adapter classes are resolved lazily (PEP 562): the structure modules
 import :mod:`repro.search.events` for their batched kernels, and an eager
@@ -23,7 +26,7 @@ adapter import here would close that loop into a cycle.
 
 from repro.search.base import Event, Neighbor, SearchIndex
 from repro.search.events import BatchResult, EventBuffer, EventLog
-from repro.search.spec import QuerySpec, resolve_spec
+from repro.search.spec import QuerySpec, query_block, resolve_spec
 
 _LAZY = {
     "BTreeKvIndex": "repro.search.btree_index",
@@ -40,6 +43,7 @@ __all__ = [
     "Neighbor",
     "QuerySpec",
     "SearchIndex",
+    "query_block",
     "resolve_spec",
     "BTreeKvIndex",
     "BvhRadiusIndex",

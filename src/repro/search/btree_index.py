@@ -12,8 +12,8 @@ position in the tree's global sorted key order and ``measure`` the stored
 value; a missing key answers the empty list (exactly like a radius query
 with no hits).  Event streams reuse the tree's instrumented vocabulary
 (``key_compare`` per internal node, ``leaf_scan`` at the leaf), and the
-batched path is bit-identical to ``Q`` scalar lookups — the same
-scalar-reference contract every other adapter honours.
+batched path is bit-identical to ``Q`` scalar ``BTree.lookup`` calls —
+the same scalar-reference contract every other adapter honours.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from repro.btree.btree import (
     EVENT_KEY_COMPARE,
     EVENT_LEAF_SCAN,
-    BTreeStats,
     bulk_load,
 )
 from repro.errors import BuildError
@@ -32,9 +31,9 @@ from repro.metrics.transforms import (
     METRIC_EUCLID,
     validate_metric,
 )
-from repro.search.base import Event, Neighbor
+from repro.search.base import Neighbor
 from repro.search.events import BatchResult, EventLog
-from repro.search.spec import QuerySpec, resolve_spec
+from repro.search.spec import QuerySpec, query_block, resolve_spec
 
 _INT = np.int64
 
@@ -66,7 +65,6 @@ class BTreeKvIndex:
         self.branch = branch
         self.leaf_size = leaf_size
         self._tree = None
-        self.last_events: list[Event] = []
         self._queries = 0
         self._key_compares = 0
         self._nodes_visited = 0
@@ -81,54 +79,28 @@ class BTreeKvIndex:
         )
         return self
 
-    def query(
-        self,
-        q: object,
-        spec: QuerySpec | None = None,
-        record_events: bool = False,
-        **legacy: object,
-    ) -> list[Neighbor]:
-        """``[(sorted-key rank, stored value)]`` for a present key, ``[]``
-        for a miss."""
-        if self._tree is None:
-            raise BuildError("query before build")
-        resolve_spec(
-            "BTreeKvIndex.query", spec, legacy,
-            self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
-        )
-        key = float(np.asarray(q, dtype=np.float64).reshape(()))
-        stats = BTreeStats(record_events=record_events)
-        value = self._tree.lookup(key, stats=stats)
-        self.last_events = stats.events
-        self._queries += 1
-        self._key_compares += stats.key_compares
-        self._nodes_visited += stats.nodes_visited
-        if value is None:
-            return []
-        assert self._tree.sorted_keys is not None
-        rank = int(np.searchsorted(self._tree.sorted_keys, key))
-        return [(rank, float(value))]
-
     def query_batch(
         self,
         queries: np.ndarray,
         spec: QuerySpec | None = None,
         record_events: bool = False,
-        **legacy: object,
     ) -> BatchResult:
-        """Batched lookups over a ``(Q,)`` (or ``(Q, 1)``) key block.
+        """Lookups over a ``(Q,)`` (or ``(Q, 1)``) key block:
+        ``[(sorted-key rank, stored value)]`` for a present key, ``[]``
+        for a miss.
 
-        Per probe, answers and events are bit-identical to :meth:`query`:
-        the level-synchronous descent's trail columns are exactly the
-        scalar lookup's event stream (``tree.lookup_batch`` pins this).
+        Per probe, answers and events are bit-identical to
+        :meth:`~repro.btree.btree.BTree.lookup`: the level-synchronous
+        descent's trail columns are exactly the scalar lookup's event
+        stream (``tree.lookup_batch`` pins this).
         """
+        call = "BTreeKvIndex.query_batch"
         if self._tree is None:
             raise BuildError("query_batch before build")
         resolve_spec(
-            "BTreeKvIndex.query_batch", spec, legacy,
-            self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
+            call, spec, self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
         )
-        probes = np.asarray(queries, dtype=np.float64).reshape(-1)
+        probes = query_block(call, queries, None)
         count = probes.shape[0]
         values, found, trail = self._tree.lookup_batch(probes)
         self._queries += count

@@ -22,7 +22,6 @@ from repro.bvh.traversal import (
     EVENT_LEAF_DIST,
     EVENT_STACK_OP,
     TraversalStats,
-    radius_search,
     radius_search_batch,
 )
 from repro.errors import BuildError, ConfigError
@@ -32,12 +31,11 @@ from repro.metrics.transforms import (
     angular_radius_to_euclid,
     cosine_measure_from_sq,
     transform_points,
-    transform_query,
     validate_metric,
 )
-from repro.search.base import Event, Neighbor
+from repro.search.base import Neighbor
 from repro.search.events import BatchResult
-from repro.search.spec import QuerySpec, resolve_spec
+from repro.search.spec import QuerySpec, query_block, resolve_spec
 
 
 class BvhRadiusIndex:
@@ -78,7 +76,6 @@ class BvhRadiusIndex:
         self._bvh = None
         self._points: np.ndarray | None = None
         self.radius = 0.0
-        self.last_events: list[Event] = []
         self._queries = 0
         self._box_tests = 0
         self._dist_tests = 0
@@ -124,66 +121,33 @@ class BvhRadiusIndex:
             )
         return self._filter_radius(radius)
 
-    def _transformed_query(self, q: np.ndarray) -> np.ndarray:
-        if self.metric != METRIC_COSINE:
-            return q
-        return transform_query(
-            np.asarray(q, dtype=np.float64), self.metric
-        ).astype(np.float64)
-
     def _as_cosine(self, neighbors: list[Neighbor]) -> list[Neighbor]:
         """Squared chordal -> angular measures (exact halving)."""
         return [(pid, cosine_measure_from_sq(d2)) for pid, d2 in neighbors]
-
-    def query(
-        self,
-        q: np.ndarray,
-        spec: QuerySpec | None = None,
-        record_events: bool = False,
-        **legacy: object,
-    ) -> list[Neighbor]:
-        """All (point id, measure) within the radius of ``q``, ascending
-        by measure — squared L2 for ``euclid``, the metric distance for
-        ``l1``/``linf``, ``1 - cos(theta)`` for ``cosine``."""
-        if self._bvh is None:
-            raise BuildError("query before build")
-        spec = resolve_spec(
-            "BvhRadiusIndex.query", spec, legacy,
-            self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
-        )
-        radius = self._resolve_radius("BvhRadiusIndex.query", spec)
-        stats = TraversalStats(record_events=record_events)
-        hits = radius_search(self._bvh, self._points,
-                             self._transformed_query(q), radius,
-                             stats=stats, metric=self._search_metric)
-        self.last_events = stats.events
-        self._queries += 1
-        self._box_tests += stats.box_tests
-        self._dist_tests += stats.prim_tests
-        if self.metric == METRIC_COSINE:
-            hits = self._as_cosine(hits)
-        return hits
 
     def query_batch(
         self,
         queries: np.ndarray,
         spec: QuerySpec | None = None,
         record_events: bool = False,
-        **legacy: object,
     ) -> BatchResult:
-        """Batched radius search over a ``(Q, 3)`` query block.
+        """All (point id, measure) within the radius of each row of a
+        ``(Q, 3)`` query block, ascending by measure — squared L2 for
+        ``euclid``, the metric distance for ``l1``/``linf``,
+        ``1 - cos(theta)`` for ``cosine``.
 
-        Per query, neighbors and events are bit-identical to ``query``;
-        the lockstep kernels advance the whole front per step.
+        Per query, neighbors and events are bit-identical to
+        :func:`~repro.bvh.traversal.radius_search` on the built tree; the
+        lockstep kernels advance the whole front per step.
         """
+        call = "BvhRadiusIndex.query_batch"
         if self._bvh is None:
             raise BuildError("query_batch before build")
         spec = resolve_spec(
-            "BvhRadiusIndex.query_batch", spec, legacy,
-            self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
+            call, spec, self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
         )
-        radius = self._resolve_radius("BvhRadiusIndex.query_batch", spec)
-        queries = np.asarray(queries, dtype=np.float64)
+        radius = self._resolve_radius(call, spec)
+        queries = query_block(call, queries, self._points.shape[1])
         if self.metric == METRIC_COSINE:
             queries = transform_points(queries, self.metric).astype(
                 np.float64

@@ -19,13 +19,11 @@ from repro.graph.search import (
     EVENT_QUEUE,
     EVENT_VISIT,
     GraphSearchStats,
-    search,
     search_batch,
 )
 from repro.metrics.transforms import METRIC_COSINE
-from repro.search.base import Event, Neighbor
 from repro.search.events import BatchResult
-from repro.search.spec import QuerySpec, resolve_spec
+from repro.search.spec import QuerySpec, query_block, resolve_spec
 
 
 class HnswIndex:
@@ -61,7 +59,6 @@ class HnswIndex:
         )
         self.seed = seed
         self._graph = None
-        self.last_events: list[Event] = []
         self._queries = 0
         self._dist_tests = 0
         self._nodes_expanded = 0
@@ -76,43 +73,25 @@ class HnswIndex:
         )
         return self
 
-    def query(
-        self,
-        q: np.ndarray,
-        spec: QuerySpec | None = None,
-        record_events: bool = False,
-        **legacy: object,
-    ) -> list[Neighbor]:
-        """Approximate ``k`` nearest (node id, distance), ascending."""
-        if self._graph is None:
-            raise BuildError("query before build")
-        spec = resolve_spec(
-            "HnswIndex.query", spec, legacy,
-            self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
-        )
-        stats = GraphSearchStats(record_events=record_events)
-        result = search(self._graph, q, k=spec.k, ef=spec.ef, stats=stats)
-        self.last_events = stats.events
-        self._queries += 1
-        self._dist_tests += stats.dist_tests
-        self._nodes_expanded += stats.nodes_expanded
-        return result
-
     def query_batch(
         self,
         queries: np.ndarray,
         spec: QuerySpec | None = None,
         record_events: bool = False,
-        **legacy: object,
     ) -> BatchResult:
-        """Batched ANN over a ``(Q, dim)`` query block; per query the
-        neighbors and events are bit-identical to ``query``."""
+        """Approximate ``k`` nearest (node id, distance), ascending, per
+        row of a ``(Q, dim)`` query block.
+
+        Per query, neighbors and events are bit-identical to
+        :func:`~repro.graph.search.search` on the built graph.
+        """
+        call = "HnswIndex.query_batch"
         if self._graph is None:
             raise BuildError("query_batch before build")
         spec = resolve_spec(
-            "HnswIndex.query_batch", spec, legacy,
-            self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
+            call, spec, self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
         )
+        queries = query_block(call, queries, self._graph.dim)
         stats = GraphSearchStats()
         result = search_batch(
             self._graph, queries, k=spec.k, ef=spec.ef,

@@ -20,7 +20,6 @@ from repro.kdtree.search import (
     EVENT_LEAF_DIST,
     EVENT_PLANE_TEST,
     KdSearchStats,
-    knn_search,
     knn_search_batch,
 )
 from repro.metrics.transforms import (
@@ -28,12 +27,11 @@ from repro.metrics.transforms import (
     METRIC_EUCLID,
     cosine_measure_from_sq,
     transform_points,
-    transform_query,
     validate_metric,
 )
-from repro.search.base import Event, Neighbor
+from repro.search.base import Neighbor
 from repro.search.events import BatchResult
-from repro.search.spec import QuerySpec, resolve_spec
+from repro.search.spec import QuerySpec, query_block, resolve_spec
 
 
 class KdTreeIndex:
@@ -56,7 +54,6 @@ class KdTreeIndex:
             METRIC_EUCLID if metric == METRIC_COSINE else metric
         )
         self._tree = None
-        self.last_events: list[Event] = []
         self._queries = 0
         self._plane_tests = 0
         self._dist_tests = 0
@@ -70,63 +67,31 @@ class KdTreeIndex:
         self._tree = build_kdtree(points, leaf_size=self.leaf_size)
         return self
 
-    def _transformed_query(self, q: np.ndarray) -> np.ndarray:
-        if self.metric != METRIC_COSINE:
-            return q
-        return transform_query(
-            np.asarray(q, dtype=np.float64), self.metric
-        ).astype(np.float64)
-
     def _as_cosine(self, neighbors: list[Neighbor]) -> list[Neighbor]:
         """Squared chordal -> angular measures (exact halving)."""
         return [(pid, cosine_measure_from_sq(d2)) for pid, d2 in neighbors]
-
-    def query(
-        self,
-        q: np.ndarray,
-        spec: QuerySpec | None = None,
-        record_events: bool = False,
-        **legacy: object,
-    ) -> list[Neighbor]:
-        """``k`` nearest ``(point id, measure)`` under the FLANN
-        ``max_checks`` backtracking budget; measures are squared L2 for
-        ``euclid``, the metric distance otherwise."""
-        if self._tree is None:
-            raise BuildError("query before build")
-        spec = resolve_spec(
-            "KdTreeIndex.query", spec, legacy,
-            self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
-        )
-        stats = KdSearchStats(record_events=record_events)
-        result = knn_search(
-            self._tree, self._transformed_query(q),
-            k=spec.k, max_checks=spec.max_checks, stats=stats,
-            metric=self._search_metric,
-        )
-        self.last_events = stats.events
-        self._queries += 1
-        self._plane_tests += stats.plane_tests
-        self._dist_tests += stats.dist_tests
-        if self.metric == METRIC_COSINE:
-            result = self._as_cosine(result)
-        return result
 
     def query_batch(
         self,
         queries: np.ndarray,
         spec: QuerySpec | None = None,
         record_events: bool = False,
-        **legacy: object,
     ) -> BatchResult:
-        """Batched kNN over a ``(Q, dim)`` query block; per query the
-        neighbors and events are bit-identical to ``query``."""
+        """``k`` nearest ``(point id, measure)`` per row of a ``(Q, dim)``
+        query block, under the FLANN ``max_checks`` backtracking budget;
+        measures are squared L2 for ``euclid``, the metric distance
+        otherwise.
+
+        Per query, neighbors and events are bit-identical to
+        :func:`~repro.kdtree.search.knn_search` on the built tree.
+        """
+        call = "KdTreeIndex.query_batch"
         if self._tree is None:
             raise BuildError("query_batch before build")
         spec = resolve_spec(
-            "KdTreeIndex.query_batch", spec, legacy,
-            self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
+            call, spec, self.SPEC_FIELDS, self.SPEC_DEFAULTS, self.metric,
         )
-        queries = np.asarray(queries, dtype=np.float64)
+        queries = query_block(call, queries, self._tree.dim)
         if self.metric == METRIC_COSINE:
             queries = transform_points(queries, self.metric).astype(
                 np.float64

@@ -1,28 +1,26 @@
 """The consolidated query surface: one frozen spec for every substrate.
 
-Before this module, each :class:`~repro.search.base.SearchIndex` adapter
-grew its own query keywords — ``k``/``max_checks`` on the k-d tree,
-``k``/``ef`` on the graph, a build-time ``radius`` on the BVH, bare keys
-on the B-tree — so structure-agnostic callers (serving endpoints, the
-sharded fan-out, the workload generators) had to carry per-substrate
-``**params`` dicts.  :class:`QuerySpec` replaces that divergence: every
-adapter's ``query``/``query_batch`` accepts ``spec=QuerySpec(...)``, and
-:func:`resolve_spec` normalizes it — filling per-adapter defaults,
-rejecting fields the substrate cannot honor, and checking the ``metric``
-axis against what the index was built with.
-
-The legacy keywords keep working for one release through a compatibility
-shim (the same pattern the PR-4 ``common.py`` shims used): passing
-``k=...``/``ef=...``/``max_checks=...``/``radius=...`` directly still
-resolves, but emits a :class:`DeprecationWarning` naming the exact
-``spec=QuerySpec(...)`` replacement.  Mixing both surfaces in one call is
-a :class:`~repro.errors.ConfigError` — silent precedence would mask bugs.
+Every :class:`~repro.search.base.SearchIndex` adapter answers
+``query_batch(queries, spec=QuerySpec(...))``: the k-d tree honors
+``k``/``max_checks``, the graph ``k``/``ef``, the BVH a query-time
+``radius``, and the B-tree only the ``metric`` assertion — so
+structure-agnostic callers (serving endpoints, the sharded fan-out, the
+workload generators) carry one spec instead of per-substrate keyword
+dicts.  :func:`resolve_spec` normalizes a spec — filling per-adapter
+defaults, rejecting fields the substrate cannot honor and values no
+search can run with, and checking the ``metric`` axis against what the
+index was built with — and :func:`query_block` validates the query block
+itself, so a malformed call fails with :class:`ConfigError` before any
+kernel runs.
 """
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass, fields
+from numbers import Integral, Real
+
+import numpy as np
 
 from repro.errors import ConfigError
 
@@ -63,10 +61,40 @@ class QuerySpec:
         }
 
 
+def _check_values(call: str, spec: QuerySpec) -> None:
+    """Reject values no search can honor: counts must be positive
+    integers, the radius a finite number >= 0, and the beam at least
+    ``k`` wide."""
+    for name in ("k", "ef", "max_checks"):
+        value = getattr(spec, name)
+        if value is not None and (
+            isinstance(value, bool)
+            or not isinstance(value, Integral)
+            or value < 1
+        ):
+            raise ConfigError(
+                f"{call}(): {name} must be a positive integer, got {value!r}"
+            )
+    radius = spec.radius
+    if radius is not None and (
+        isinstance(radius, bool)
+        or not isinstance(radius, Real)
+        or not math.isfinite(radius)
+        or radius < 0
+    ):
+        raise ConfigError(
+            f"{call}(): radius must be a finite number >= 0, got {radius!r}"
+        )
+    if spec.k is not None and spec.ef is not None and spec.ef < spec.k:
+        raise ConfigError(
+            f"{call}(): ef={spec.ef} is below k={spec.k}; the beam must "
+            "hold at least k candidates"
+        )
+
+
 def resolve_spec(
     call: str,
     spec: QuerySpec | None,
-    legacy: dict[str, object],
     accepted: tuple[str, ...],
     defaults: dict[str, object],
     index_metric: str,
@@ -74,38 +102,13 @@ def resolve_spec(
     """Normalize one adapter call's parameters into a full spec.
 
     ``call`` names the adapter method for messages (e.g.
-    ``"KdTreeIndex.query"``); ``accepted`` the spec fields the substrate
-    honors (besides ``metric``, which every adapter accepts); ``defaults``
-    the per-adapter fallback values; ``index_metric`` the metric the
-    index was built with.  ``legacy`` is the ``**kwargs`` dict of the
-    deprecated keyword surface: unknown names raise ``TypeError`` exactly
-    like the old signatures did, known names resolve with a
-    ``DeprecationWarning`` naming the ``QuerySpec`` replacement, and
-    combining them with ``spec=`` raises :class:`ConfigError`.
+    ``"KdTreeIndex.query_batch"``); ``accepted`` the spec fields the
+    substrate honors (besides ``metric``, which every adapter accepts);
+    ``defaults`` the per-adapter fallback values; ``index_metric`` the
+    metric the index was built with.  A foreign field, a metric that
+    disagrees with the build, or a value :func:`_check_values` rejects
+    raises :class:`ConfigError`.
     """
-    unknown = sorted(set(legacy) - set(accepted))
-    if unknown:
-        raise TypeError(
-            f"{call}() got unexpected keyword argument(s) "
-            f"{', '.join(map(repr, unknown))}; accepted: "
-            f"{', '.join(accepted)}"
-        )
-    if legacy:
-        if spec is not None:
-            raise ConfigError(
-                f"{call}() got both spec= and legacy keyword(s) "
-                f"{sorted(legacy)}: pass one surface, not both"
-            )
-        replacement = ", ".join(
-            f"{name}={legacy[name]!r}" for name in sorted(legacy)
-        )
-        warnings.warn(
-            f"{call}({', '.join(sorted(legacy))}=...) keyword arguments "
-            f"are deprecated; pass spec=QuerySpec({replacement}) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        spec = QuerySpec(**legacy)
     if spec is None:
         spec = QuerySpec()
     foreign = sorted(
@@ -126,12 +129,48 @@ def resolve_spec(
             f"but the spec requests metric={spec.metric!r}; the metric "
             "axis is structural — build an index per metric"
         )
-    resolved = {
+    resolved = QuerySpec(metric=index_metric, **{
         name: (
             getattr(spec, name)
             if getattr(spec, name) is not None
             else defaults.get(name)
         )
         for name in accepted
-    }
-    return QuerySpec(metric=index_metric, **resolved)
+    })
+    _check_values(call, resolved)
+    return resolved
+
+
+def query_block(call: str, queries: object, dim: int | None) -> np.ndarray:
+    """``queries`` as a validated float64 block, before any kernel runs.
+
+    ``dim`` is the index's point dimension: the block must be ``(Q,
+    dim)``.  ``dim=None`` is the scalar-key form (the B-tree): a ``(Q,)``
+    or ``(Q, 1)`` block, returned flat.  A block that does not convert,
+    has the wrong rank or width, or holds a NaN or infinite value raises
+    :class:`ConfigError`; a zero-row block is valid and answers ``[]``.
+    """
+    try:
+        block = np.asarray(queries, dtype=np.float64)
+    except (TypeError, ValueError) as error:
+        raise ConfigError(
+            f"{call}(): queries do not form a numeric block: {error}"
+        ) from None
+    if dim is None:
+        if block.ndim == 2 and block.shape[1] == 1:
+            block = block.reshape(-1)
+        if block.ndim != 1:
+            raise ConfigError(
+                f"{call}(): expected a (Q,) key block, got shape "
+                f"{block.shape}"
+            )
+    elif block.ndim != 2 or block.shape[1] != dim:
+        raise ConfigError(
+            f"{call}(): expected a (Q, {dim}) query block, got shape "
+            f"{block.shape}"
+        )
+    if not np.isfinite(block).all():
+        raise ConfigError(
+            f"{call}(): the query block holds NaN or infinite values"
+        )
+    return block

@@ -74,21 +74,14 @@ class Endpoint:
     family: str
     abbr: str
     index: object
-    params: dict[str, object] = field(default_factory=dict)
-    #: The preferred query parameterization.  When set, ``run_batch``
-    #: queries through the spec and ``params`` is only the JSON-friendly
-    #: ``describe()`` view; when ``None``, ``params`` is passed as legacy
-    #: keyword arguments (kept for custom indices that predate specs).
-    spec: QuerySpec | None = None
+    #: The fixed query parameterization every batch runs with.
+    spec: QuerySpec = field(default_factory=QuerySpec)
     _sampler: Callable[[int, int], np.ndarray] | None = None
 
     def run_batch(self, queries: list[object]) -> list[object]:
         """Answer one admitted batch: ``query_batch`` over the stacked
         query block, submission order preserved."""
-        block = np.asarray(queries, dtype=np.float64)
-        if self.spec is not None:
-            return self.index.query_batch(block, spec=self.spec).neighbors
-        return self.index.query_batch(block, **self.params).neighbors
+        return self.index.query_batch(queries, spec=self.spec).neighbors
 
     def sample_queries(self, count: int, seed: int = 0) -> np.ndarray:
         """``count`` workload-realistic queries for traffic generation."""
@@ -103,7 +96,7 @@ class Endpoint:
             "kind": self.kind,
             "family": self.family,
             "dataset": self.abbr,
-            "params": dict(self.params),
+            "params": self.spec.named_fields(),
             "index": self.index.stats(),
         }
 
@@ -151,7 +144,6 @@ def knn_endpoint(abbr: str = "R10K", k: int = 5, max_checks: int = 64,
         family=FAMILY_BY_KIND["knn"],
         abbr=abbr,
         index=index,
-        params={"k": k, "max_checks": max_checks},
         spec=QuerySpec(k=k, max_checks=max_checks),
         _sampler=lambda n, s: perturbed_queries(dataset, n, noise=0.1, seed=s),
     )
@@ -178,7 +170,6 @@ def metric_endpoint(abbr: str = "R10K", metric: str = "l1", k: int = 5,
         family=FAMILY_BY_KIND["metric"],
         abbr=abbr,
         index=index,
-        params={"k": k, "metric": metric, "max_checks": index.num_points},
         spec=QuerySpec(k=k, max_checks=index.num_points, metric=metric),
         _sampler=lambda n, s: perturbed_queries(dataset, n, noise=0.1, seed=s),
     )
@@ -196,7 +187,6 @@ def ann_endpoint(abbr: str = "S10K", k: int = 10, ef: int = 32,
         family=FAMILY_BY_KIND["ann"],
         abbr=abbr,
         index=index,
-        params={"k": k, "ef": ef},
         spec=QuerySpec(k=k, ef=ef),
         _sampler=lambda n, s: perturbed_queries(dataset, n, noise=0.05, seed=s),
     )

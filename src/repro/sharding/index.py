@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.errors import BuildError, ConfigError
 from repro.search.events import BatchResult, EventLog
+from repro.search.spec import QuerySpec, query_block, resolve_spec
 from repro.sharding.interconnect import Interconnect, InterconnectConfig
 from repro.sharding.metrics import ShardingMetrics
 from repro.sharding.partition import partitioner_for
@@ -42,9 +43,6 @@ COORD_BYTES = 4
 #: Wire cost of one candidate result: int64 global id + float64 measure.
 RESULT_BYTES = 16
 
-#: Default ``k`` per top-k substrate (the adapters' query_batch defaults).
-_TOPK_DEFAULTS = {"kdtree": 5, "hnsw": 10}
-
 
 class ShardedIndex:
     """A drop-in :class:`~repro.search.SearchIndex` spanning N shards.
@@ -53,8 +51,10 @@ class ShardedIndex:
     ``lambda: BvhRadiusIndex(arity=4)``; the substrate is identified by the
     factory product's ``stats()["structure"]`` tag, which also picks the
     default partitioner.  Build-time ``**params`` (``radius``, ``values``)
-    and query-time ``**params`` (``k``, ``ef``, ``max_checks``) pass
-    through to the shards unchanged.
+    pass through to the shards unchanged; a query's
+    :class:`~repro.search.spec.QuerySpec` is resolved once against the
+    shard adapter's fields and defaults, and every shard answers the
+    resolved spec.
     """
 
     def __init__(
@@ -71,9 +71,12 @@ class ShardedIndex:
         self.factory = factory
         self.num_shards = int(num_shards)
         self.name = name
-        probe_stats = factory().stats()
+        probe = factory()
+        probe_stats = probe.stats()
         self.structure = str(probe_stats["structure"])
         self.metric = str(probe_stats.get("metric", "euclid"))
+        self._spec_fields = probe.SPEC_FIELDS
+        self._spec_defaults = probe.SPEC_DEFAULTS
         self.partitioner = (
             partitioner if partitioner is not None
             else partitioner_for(self.structure)
@@ -148,31 +151,27 @@ class ShardedIndex:
 
     # -- query path -------------------------------------------------------
 
-    def query(self, q, spec=None, **params) -> list:
-        """One query through the sharded merge path (a 1-row batch)."""
-        queries = np.asarray(q, dtype=np.float64).reshape(
-            -1 if self.structure == "btree" else (1, -1)
-        )
-        return self.query_batch(queries, spec=spec, **params).neighbors[0]
-
-    def query_batch(self, queries: np.ndarray, spec=None,
-                    record_events: bool = False, **params) -> BatchResult:
+    def query_batch(self, queries: np.ndarray,
+                    spec: QuerySpec | None = None,
+                    record_events: bool = False) -> BatchResult:
         """Fan out, merge bit-identically, account interconnect costs.
 
-        ``spec`` (a :class:`~repro.search.spec.QuerySpec`) and legacy
-        ``**params`` pass through to the shards unchanged, so the shard
-        adapters arbitrate the two surfaces exactly like the unsharded
-        index would.
+        ``spec`` resolves once against the shard adapter's
+        ``SPEC_FIELDS``/``SPEC_DEFAULTS``; every shard answers the
+        resolved spec, and the top-k merge truncates to the same ``k``.
         """
+        call = "ShardedIndex.query_batch"
         if not self._shards:
             raise BuildError("query_batch before build")
-        queries = np.asarray(queries, dtype=np.float64)
+        spec = resolve_spec(call, spec, self._spec_fields,
+                            self._spec_defaults, self.metric)
         if self.structure == "btree":
-            result = self._query_routed(queries.reshape(-1), record_events,
-                                        spec)
+            result = self._query_routed(query_block(call, queries, None),
+                                        record_events, spec)
         else:
-            result = self._query_broadcast(queries, record_events, params,
-                                           spec)
+            result = self._query_broadcast(
+                query_block(call, queries, self._dim), record_events, spec
+            )
         self._batches += 1
         self._queries += len(result)
         return result
@@ -182,20 +181,15 @@ class ShardedIndex:
                 if self._shards[s] is not None]
 
     def _query_broadcast(self, queries: np.ndarray, record_events: bool,
-                         params: dict, spec=None) -> BatchResult:
+                         spec: QuerySpec) -> BatchResult:
         count = queries.shape[0]
         live = self._live()
         results = [
             self._shards[s].query_batch(queries, spec=spec,
-                                        record_events=record_events,
-                                        **params)
+                                        record_events=record_events)
             for s in live
         ]
         merged: list[list] = []
-        if spec is not None and spec.k is not None:
-            topk = spec.k
-        else:
-            topk = params.get("k", _TOPK_DEFAULTS.get(self.structure))
         descending_ties = self.structure == "bvh"
         for qi in range(count):
             candidates = []
@@ -209,8 +203,7 @@ class ShardedIndex:
                 candidates.sort(key=lambda hit: (hit[1], -hit[0]))
             else:
                 candidates.sort(key=lambda hit: (hit[1], hit[0]))
-                if topk is not None:
-                    candidates = candidates[:topk]
+                candidates = candidates[:spec.k]
             merged.append(candidates)
         events = (EventLog.concat([r.events for r in results])
                   if record_events else None)
@@ -226,7 +219,7 @@ class ShardedIndex:
         return BatchResult(merged, events)
 
     def _query_routed(self, probes: np.ndarray, record_events: bool,
-                      spec=None) -> BatchResult:
+                      spec: QuerySpec) -> BatchResult:
         count = probes.shape[0]
         live = self._live()
         assert self._route_uppers is not None

@@ -150,7 +150,7 @@ class TestServingMetricEndpoint:
         endpoint = metric_endpoint("R10K", metric="linf", k=3)
         assert endpoint.kind == "metric"
         assert endpoint.family == "arkade"
-        assert endpoint.params["metric"] == "linf"
+        assert endpoint.spec.metric == "linf"
         queries = endpoint.sample_queries(5, seed=3)
         neighbors = endpoint.run_batch(queries)
         truth_ids, _ = brute_force_metric_knn(

@@ -1,9 +1,11 @@
 """Batched query engine == scalar reference, bit for bit.
 
-The batched kernels (PR: vectorized frontier traversal + array-backed trace
-recording) must reproduce the scalar per-query searches exactly — same
-neighbors, same event streams, same lowered traces — across structures,
-metrics, dtypes, and degenerate inputs.  These tests are the contract.
+The batched kernels (vectorized frontier traversal + array-backed trace
+recording) must reproduce the substrates' scalar per-query searches
+exactly — same neighbors, same event streams, same lowered traces —
+across structures, metrics, dtypes, and degenerate inputs.  The oracles
+are ``radius_search`` / ``knn_search`` / ``search`` run on structures
+each test builds itself; these tests are the contract.
 """
 
 from __future__ import annotations
@@ -13,6 +15,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.bvh.lbvh import build_lbvh_for_points
+from repro.bvh.sah import build_sah
+from repro.bvh.traversal import TraversalStats, radius_search
 from repro.compiler.assembler import (
     PACKED_TALU,
     PACKED_TBOX,
@@ -38,7 +43,17 @@ from repro.compiler.ops import (
     TShared,
     TTri,
 )
-from repro.search import BvhRadiusIndex, HnswIndex, KdTreeIndex
+from repro.geometry.aabb import Aabb
+from repro.graph.hnsw import build_hnsw
+from repro.graph.search import GraphSearchStats, search
+from repro.kdtree.build import build_kdtree
+from repro.kdtree.search import KdSearchStats, knn_search
+from repro.metrics.transforms import (
+    cosine_measure_from_sq,
+    transform_points,
+    transform_query,
+)
+from repro.search import BvhRadiusIndex, HnswIndex, KdTreeIndex, QuerySpec
 
 
 @pytest.fixture(autouse=True, params=["reference"])
@@ -48,21 +63,14 @@ def backend_name(request):
     return request.param
 
 
-def _scalar_reference(index, queries, **params):
-    """Per-query scalar results and event streams via ``query``."""
-    neighbors, events = [], []
-    for q in queries:
-        neighbors.append(index.query(q, record_events=True, **params))
-        events.append(list(index.last_events))
-    return neighbors, events
-
-
-def _assert_matches(index, queries, batch, **params):
-    neighbors, events = _scalar_reference(index, queries, **params)
+def _assert_matches(batch, queries, oracle):
+    """Row ``qi`` of ``batch`` equals ``oracle(queries[qi])``, the
+    substrate's scalar search as ``(neighbors, events)``."""
     assert len(batch) == len(queries)
-    for qi in range(len(queries)):
-        assert batch.neighbors[qi] == neighbors[qi], f"neighbors, query {qi}"
-        assert batch.events.query_events(qi) == events[qi], f"events, {qi}"
+    for qi, q in enumerate(queries):
+        neighbors, events = oracle(q)
+        assert batch.neighbors[qi] == neighbors, f"neighbors, query {qi}"
+        assert batch.events.query_events(qi) == events, f"events, {qi}"
 
 
 # ---------------------------------------------------------------------------
@@ -71,39 +79,52 @@ def _assert_matches(index, queries, batch, **params):
 
 
 class TestBvhBatch:
-    def _build(self, points, radius=0.3):
-        return BvhRadiusIndex().build(np.asarray(points, float), radius)
+    def _case(self, points, queries, radius=0.3, builder="lbvh"):
+        points = np.asarray(points, float)
+        index = BvhRadiusIndex(builder=builder).build(points, radius)
+        batch = index.query_batch(queries, record_events=True)
+        if builder == "lbvh":
+            bvh = build_lbvh_for_points(points, radius)
+        else:
+            bvh = build_sah(
+                [Aabb.around_point(p, radius) for p in points], leaf_size=1
+            )
+
+        def oracle(q):
+            stats = TraversalStats(record_events=True)
+            hits = radius_search(bvh, points, q, radius, stats=stats)
+            return hits, stats.events
+
+        _assert_matches(batch, np.asarray(queries, np.float64), oracle)
 
     def test_random_batch_matches_scalar(self):
         rng = np.random.default_rng(1)
-        index = self._build(rng.random((200, 3)))
-        queries = rng.random((32, 3))
-        batch = index.query_batch(queries, record_events=True)
-        _assert_matches(index, queries, batch)
+        self._case(rng.random((200, 3)), rng.random((32, 3)))
+
+    def test_sah_batch_matches_scalar(self):
+        """``build_sah`` trees are plain node lists, not packed arrays:
+        the lockstep kernel's other topology source."""
+        rng = np.random.default_rng(16)
+        self._case(rng.random((150, 3)), rng.random((24, 3)), radius=0.2,
+                   builder="sah")
 
     def test_duplicate_points(self):
         rng = np.random.default_rng(2)
         points = np.repeat(rng.random((25, 3)), 4, axis=0)
-        index = self._build(points)
-        queries = points[::10] + 0.01
-        batch = index.query_batch(queries, record_events=True)
-        _assert_matches(index, queries, batch)
+        self._case(points, points[::10] + 0.01)
 
     def test_empty_batch(self):
         rng = np.random.default_rng(3)
-        index = self._build(rng.random((50, 3)))
+        index = BvhRadiusIndex().build(rng.random((50, 3)), 0.3)
         batch = index.query_batch(np.empty((0, 3)), record_events=True)
         assert len(batch) == 0
         assert batch.events.num_events == 0
 
     def test_float32_queries(self):
+        """float32 queries answer like their float64 widening."""
         rng = np.random.default_rng(4)
-        index = self._build(rng.random((100, 3)))
-        q64 = rng.random((8, 3))
-        batch32 = index.query_batch(q64.astype(np.float32),
-                                    record_events=True)
-        _assert_matches(index, q64.astype(np.float32).astype(np.float64),
-                        batch32)
+        self._case(rng.random((100, 3)),
+                   rng.random((8, 3)).astype(np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -111,13 +132,39 @@ class TestBvhBatch:
 # ---------------------------------------------------------------------------
 
 
+def _kd_oracle(points, k, max_checks, metric="euclid"):
+    """Scalar ``knn_search`` under the adapter's metric reductions:
+    cosine searches the normalized points as Euclidean and maps squared
+    chordal measures to ``1 - cos(theta)``; the filter metrics search the
+    raw points."""
+    cosine = metric == "cosine"
+    if cosine:
+        points = transform_points(points, metric).astype(np.float64)
+    tree = build_kdtree(points, leaf_size=4)
+
+    def oracle(q):
+        stats = KdSearchStats(record_events=True)
+        if cosine:
+            q = transform_query(q, metric).astype(np.float64)
+        hits = knn_search(tree, q, k=k, max_checks=max_checks, stats=stats,
+                          metric="euclid" if cosine else metric)
+        if cosine:
+            hits = [(pid, cosine_measure_from_sq(d2)) for pid, d2 in hits]
+        return hits, stats.events
+
+    return oracle
+
+
 class TestKdTreeBatch:
-    def _case(self, points, queries, **params):
-        index = KdTreeIndex(leaf_size=4).build(np.asarray(points, float))
+    def _case(self, points, queries, k, max_checks, metric="euclid"):
+        points = np.asarray(points, float)
+        index = KdTreeIndex(leaf_size=4, metric=metric).build(points)
         batch = index.query_batch(
-            np.asarray(queries, float), record_events=True, **params
+            queries, spec=QuerySpec(k=k, max_checks=max_checks),
+            record_events=True,
         )
-        _assert_matches(index, np.asarray(queries, float), batch, **params)
+        _assert_matches(batch, np.asarray(queries, np.float64),
+                        _kd_oracle(points, k, max_checks, metric))
 
     def test_random_batch_matches_scalar(self):
         rng = np.random.default_rng(5)
@@ -142,7 +189,7 @@ class TestKdTreeBatch:
     def test_empty_batch(self):
         rng = np.random.default_rng(9)
         index = KdTreeIndex(leaf_size=4).build(rng.random((40, 5)))
-        batch = index.query_batch(np.empty((0, 5)), k=3,
+        batch = index.query_batch(np.empty((0, 5)), spec=QuerySpec(k=3),
                                   record_events=True)
         assert len(batch) == 0
 
@@ -150,13 +197,9 @@ class TestKdTreeBatch:
         """float32 queries against a float64 tree: casting the whole batch
         up front must equal per-query casts."""
         rng = np.random.default_rng(10)
-        points = rng.random((150, 6))
-        q32 = rng.random((16, 6)).astype(np.float32)
-        index = KdTreeIndex(leaf_size=4).build(points)
-        batch = index.query_batch(q32, k=5, max_checks=48,
-                                  record_events=True)
-        _assert_matches(index, q32.astype(np.float64), batch,
-                        k=5, max_checks=48)
+        self._case(rng.random((150, 6)),
+                   rng.random((16, 6)).astype(np.float32),
+                   k=5, max_checks=48)
 
     @pytest.mark.parametrize("metric", ["euclid", "l1", "linf", "cosine"])
     def test_metric_batch_matches_scalar(self, metric):
@@ -165,20 +208,14 @@ class TestKdTreeBatch:
         rng = np.random.default_rng(14)
         points = rng.random((200, 5)) + 0.1  # bounded away from the origin
         queries = rng.random((20, 5)) + 0.1
-        index = KdTreeIndex(leaf_size=4, metric=metric).build(points)
-        batch = index.query_batch(queries, k=5, max_checks=96,
-                                  record_events=True)
-        _assert_matches(index, queries, batch, k=5, max_checks=96)
+        self._case(points, queries, k=5, max_checks=96, metric=metric)
 
     @pytest.mark.parametrize("metric", ["l1", "linf", "cosine"])
     def test_metric_duplicate_points(self, metric):
         rng = np.random.default_rng(15)
         points = np.repeat(rng.random((15, 4)) + 0.1, 5, axis=0)
         queries = rng.random((8, 4)) + 0.1
-        index = KdTreeIndex(leaf_size=4, metric=metric).build(points)
-        batch = index.query_batch(queries, k=3, max_checks=75,
-                                  record_events=True)
-        _assert_matches(index, queries, batch, k=3, max_checks=75)
+        self._case(points, queries, k=3, max_checks=75, metric=metric)
 
 
 # ---------------------------------------------------------------------------
@@ -187,15 +224,28 @@ class TestKdTreeBatch:
 
 
 class TestHnswBatch:
+    def _case(self, points, queries, k, ef, m, ef_construction, seed,
+              metric=METRIC_EUCLID):
+        index = HnswIndex(m=m, ef_construction=ef_construction,
+                          metric=metric, seed=seed).build(points)
+        graph = build_hnsw(points, m=m, ef_construction=ef_construction,
+                           metric=metric, seed=seed)
+        batch = index.query_batch(queries, spec=QuerySpec(k=k, ef=ef),
+                                  record_events=True)
+
+        def oracle(q):
+            stats = GraphSearchStats(record_events=True)
+            return search(graph, q, k=k, ef=ef, stats=stats), stats.events
+
+        _assert_matches(batch, queries, oracle)
+
     @pytest.mark.parametrize("metric", [METRIC_EUCLID, METRIC_ANGULAR])
     def test_batch_matches_scalar(self, metric):
         rng = np.random.default_rng(11)
         points = rng.random((250, 12)).astype(np.float32)
-        index = HnswIndex(m=6, ef_construction=24, metric=metric,
-                          seed=3).build(points)
         queries = rng.random((16, 12)).astype(np.float32)
-        batch = index.query_batch(queries, k=5, ef=16, record_events=True)
-        _assert_matches(index, queries, batch, k=5, ef=16)
+        self._case(points, queries, k=5, ef=16, m=6, ef_construction=24,
+                   seed=3, metric=metric)
 
     def test_empty_batch(self):
         rng = np.random.default_rng(12)
@@ -208,10 +258,8 @@ class TestHnswBatch:
     def test_float64_queries(self):
         rng = np.random.default_rng(13)
         points = rng.random((120, 8)).astype(np.float32)
-        index = HnswIndex(m=5, ef_construction=16, seed=2).build(points)
-        q64 = rng.random((8, 8))
-        batch = index.query_batch(q64, k=4, ef=12, record_events=True)
-        _assert_matches(index, q64, batch, k=4, ef=12)
+        self._case(points, rng.random((8, 8)), k=4, ef=12, m=5,
+                   ef_construction=16, seed=2)
 
 
 # ---------------------------------------------------------------------------

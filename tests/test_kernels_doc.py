@@ -36,7 +36,6 @@ KERNEL_NAMES = (
     "aabb_contains_points",
     "aabb_distance_sq",
     "bvh_point_query",
-    "bvh_radius_query",
     "kd_plane_step",
     "segmented_gather",
     "btree_descend",
@@ -45,9 +44,9 @@ KERNEL_NAMES = (
     "coalesce_lines",
 )
 
-#: Names of deleted backend/engine selection knobs and kernels.  The docs
-#: under :data:`SCANNED_DOCS` must not mention them; ``CHANGES.md`` and
-#: ``ROADMAP.md`` record history and are not scanned.
+#: Names of deleted backend/engine selection knobs, kernels and query
+#: surfaces.  The docs under :data:`SCANNED_DOCS` must not mention them;
+#: ``CHANGES.md`` and ``ROADMAP.md`` record history and are not scanned.
 DELETED_SYMBOLS = (
     "REPRO_KERNEL_BACKEND",
     "REPRO_SIM_ENGINE",
@@ -59,6 +58,9 @@ DELETED_SYMBOLS = (
     "with_engine",
     "[jit]",
     "simulate(backend=",
+    "bvh_radius_query",
+    "last_events",
+    "legacy keyword",
 )
 
 SCANNED_DOCS = (

@@ -1,23 +1,26 @@
-"""QuerySpec == legacy kwargs, plus the consolidated error surface.
+"""QuerySpec: the one query surface, and its error paths.
 
-The consolidated query surface (docs/WORKLOADS.md): every adapter's
-``query``/``query_batch`` accepts ``spec=QuerySpec(...)``; the legacy
-per-substrate keywords keep working through a shim that emits a
-``DeprecationWarning`` naming the exact replacement.  These tests hold
-the two surfaces *equivalent* — same neighbors for randomly drawn
-parameter combinations on every substrate — and pin the error paths:
-mixing surfaces, unknown legacy names, spec fields a substrate cannot
-honor, and metric assertions that disagree with the build metric.
+Every adapter's ``query_batch`` takes ``spec=QuerySpec(...)`` and nothing
+else (docs/WORKLOADS.md).  These tests hold a spec *equivalent* to the
+substrate's own search with the same parameters — same neighbors for
+randomly drawn parameter combinations on every substrate — and pin the
+error paths: keyword arguments outside the spec, spec fields a substrate
+cannot honor, values no search can run with, metric assertions that
+disagree with the build metric, and malformed query blocks.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import pytest
 
+from repro.bvh.lbvh import build_lbvh_for_points
+from repro.bvh.traversal import radius_search
 from repro.errors import ConfigError
+from repro.graph.hnsw import build_hnsw
+from repro.graph.search import search
+from repro.kdtree.build import build_kdtree
+from repro.kdtree.search import knn_search
 from repro.search import (
     BTreeKvIndex,
     BvhRadiusIndex,
@@ -26,6 +29,7 @@ from repro.search import (
     QuerySpec,
 )
 from repro.search.spec import SPEC_FIELDS, resolve_spec
+from repro.sharding import ShardedIndex
 
 
 def _points(count: int, dim: int = 3, seed: int = 0) -> np.ndarray:
@@ -33,19 +37,25 @@ def _points(count: int, dim: int = 3, seed: int = 0) -> np.ndarray:
     return rng.random((count, dim)) + 0.1
 
 
+KD_POINTS = _points(120)
+HNSW_POINTS = _points(100, dim=6, seed=1)
+BVH_POINTS = _points(120, seed=2)
+BVH_RADIUS = 0.6
+
+
 @pytest.fixture(scope="module")
 def kd_index():
-    return KdTreeIndex(leaf_size=4).build(_points(120))
+    return KdTreeIndex(leaf_size=4).build(KD_POINTS)
 
 
 @pytest.fixture(scope="module")
 def hnsw_index():
-    return HnswIndex(seed=0).build(_points(100, dim=6, seed=1))
+    return HnswIndex(seed=0).build(HNSW_POINTS)
 
 
 @pytest.fixture(scope="module")
 def bvh_index():
-    return BvhRadiusIndex().build(_points(120, seed=2), 0.6)
+    return BvhRadiusIndex().build(BVH_POINTS, BVH_RADIUS)
 
 
 class TestSpecDataclass:
@@ -68,102 +78,74 @@ class TestSpecDataclass:
 
 
 class TestSurfaceEquivalence:
-    """Legacy kwargs and specs resolve to identical answers — sampled
-    over the parameter grid, once per substrate."""
+    """A spec answers exactly like the substrate's own search with the
+    same parameters — sampled over the parameter grid, once per
+    substrate."""
 
     def test_kdtree(self, kd_index):
+        tree = build_kdtree(KD_POINTS, leaf_size=4)
         rng = np.random.default_rng(3)
         queries = _points(12, seed=4)
         for _ in range(10):
             k = int(rng.integers(1, 12))
             max_checks = int(rng.integers(8, 200))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = kd_index.query_batch(
-                    queries, k=k, max_checks=max_checks
-                )
-            spec = kd_index.query_batch(
+            batch = kd_index.query_batch(
                 queries, spec=QuerySpec(k=k, max_checks=max_checks)
             )
-            assert legacy.neighbors == spec.neighbors, (k, max_checks)
+            direct = [knn_search(tree, q, k=k, max_checks=max_checks)
+                      for q in queries]
+            assert batch.neighbors == direct, (k, max_checks)
 
     def test_hnsw(self, hnsw_index):
+        graph = build_hnsw(HNSW_POINTS, m=12, ef_construction=48, seed=0)
         rng = np.random.default_rng(5)
         queries = _points(8, dim=6, seed=6)
         for _ in range(8):
             k = int(rng.integers(1, 15))
             ef = int(rng.integers(k, 80))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = hnsw_index.query_batch(queries, k=k, ef=ef)
-            spec = hnsw_index.query_batch(
+            batch = hnsw_index.query_batch(
                 queries, spec=QuerySpec(k=k, ef=ef)
             )
-            assert legacy.neighbors == spec.neighbors, (k, ef)
+            direct = [search(graph, q, k=k, ef=ef) for q in queries]
+            assert batch.neighbors == direct, (k, ef)
 
     def test_bvh(self, bvh_index):
+        """A query radius below the build radius filters the same
+        candidate boxes with the tighter threshold."""
+        bvh = build_lbvh_for_points(BVH_POINTS, BVH_RADIUS)
         rng = np.random.default_rng(7)
         queries = _points(10, seed=8)
         for _ in range(6):
             radius = float(rng.uniform(0.05, 0.6))
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                legacy = bvh_index.query_batch(queries, radius=radius)
-            spec = bvh_index.query_batch(
+            batch = bvh_index.query_batch(
                 queries, spec=QuerySpec(radius=radius)
             )
-            assert legacy.neighbors == spec.neighbors, radius
-
-    def test_scalar_query_matches_too(self, kd_index):
-        q = _points(1, seed=9)[0]
-        with pytest.warns(DeprecationWarning):
-            legacy = kd_index.query(q, k=3, max_checks=50)
-        spec = kd_index.query(q, spec=QuerySpec(k=3, max_checks=50))
-        assert legacy == spec
+            direct = [radius_search(bvh, BVH_POINTS, q, radius)
+                      for q in queries]
+            assert batch.neighbors == direct, radius
 
     def test_defaults_fill_unpinned_fields(self, kd_index):
         """A spec only pins what it names: QuerySpec(k=3) uses the
-        adapter's default max_checks, exactly like k=3 alone did."""
+        adapter's default max_checks."""
         queries = _points(5, seed=10)
-        with pytest.warns(DeprecationWarning):
-            legacy = kd_index.query_batch(queries, k=3)
-        spec = kd_index.query_batch(queries, spec=QuerySpec(k=3))
-        assert legacy.neighbors == spec.neighbors
-
-
-class TestDeprecationShim:
-    def test_warning_names_the_exact_replacement(self, kd_index):
-        with pytest.warns(DeprecationWarning) as caught:
-            kd_index.query_batch(_points(2, seed=11), k=4, max_checks=32)
-        message = str(caught[0].message)
-        assert "spec=QuerySpec(k=4, max_checks=32)" in message
-        assert "KdTreeIndex.query_batch" in message
-
-    def test_spec_calls_never_warn(self, kd_index):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            kd_index.query_batch(
-                _points(2, seed=12), spec=QuerySpec(k=4, max_checks=32)
-            )
-
-    def test_btree_has_no_legacy_fields(self):
-        keys = np.arange(0.0, 50.0, 1.0)
-        index = BTreeKvIndex(branch=4).build(keys)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            index.query_batch(np.array([3.0, 99.5]), spec=QuerySpec())
+        default = KdTreeIndex.SPEC_DEFAULTS["max_checks"]
+        unpinned = kd_index.query_batch(queries, spec=QuerySpec(k=3))
+        pinned = kd_index.query_batch(
+            queries, spec=QuerySpec(k=3, max_checks=default)
+        )
+        assert unpinned.neighbors == pinned.neighbors
 
 
 class TestErrorPaths:
-    def test_mixing_surfaces_is_a_config_error(self, kd_index):
-        with pytest.raises(ConfigError, match="both spec= and legacy"):
-            kd_index.query_batch(
-                _points(2, seed=13), spec=QuerySpec(k=3), max_checks=10
-            )
-
-    def test_unknown_legacy_kwarg_is_a_type_error(self, kd_index):
-        with pytest.raises(TypeError, match="unexpected keyword"):
-            kd_index.query_batch(_points(2, seed=13), ef=10)
+    def test_unknown_legacy_kwarg_is_a_type_error(
+        self, kd_index, hnsw_index, bvh_index
+    ):
+        """Query parameters travel only in the spec: the old per-substrate
+        keywords are not part of any signature."""
+        for index, keyword in ((kd_index, "k"), (kd_index, "ef"),
+                               (hnsw_index, "ef"), (bvh_index, "radius")):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                index.query_batch(_points(2, seed=13), **{keyword: 10})
 
     def test_foreign_spec_field_is_a_config_error(self, kd_index):
         with pytest.raises(ConfigError, match="does not accept"):
@@ -185,10 +167,89 @@ class TestErrorPaths:
 
     def test_resolve_spec_fills_defaults_and_metric(self):
         spec = resolve_spec(
-            "probe", QuerySpec(k=7), {}, ("k", "max_checks"),
+            "probe", QuerySpec(k=7), ("k", "max_checks"),
             {"k": 5, "max_checks": 64}, "linf",
         )
         assert spec == QuerySpec(k=7, max_checks=64, metric="linf")
+
+    @pytest.mark.parametrize("radius", [-0.1, float("nan"), float("inf")])
+    def test_radius_must_be_finite_and_nonnegative(self, bvh_index, radius):
+        with pytest.raises(ConfigError, match="radius must be"):
+            bvh_index.query_batch(
+                _points(2, seed=16), spec=QuerySpec(radius=radius)
+            )
+
+    @pytest.mark.parametrize("substrate, spec", [
+        ("kd", QuerySpec(k=0)),
+        ("kd", QuerySpec(k=2.5)),
+        ("kd", QuerySpec(k=True)),
+        ("kd", QuerySpec(max_checks=0)),
+        ("kd", QuerySpec(max_checks=-5)),
+        ("hnsw", QuerySpec(ef=0)),
+    ])
+    def test_counts_must_be_positive_integers(
+        self, kd_index, hnsw_index, substrate, spec
+    ):
+        index, dim = (kd_index, 3) if substrate == "kd" else (hnsw_index, 6)
+        with pytest.raises(ConfigError, match="positive integer"):
+            index.query_batch(_points(2, dim=dim, seed=17), spec=spec)
+
+    @pytest.mark.parametrize("spec", [QuerySpec(k=8, ef=4), QuerySpec(k=40)])
+    def test_ef_below_k_is_a_config_error(self, hnsw_index, spec):
+        """Also when ``ef`` is the adapter default (32) and ``k`` is not."""
+        with pytest.raises(ConfigError, match="below k"):
+            hnsw_index.query_batch(_points(2, dim=6, seed=18), spec=spec)
+
+
+def _sharded_kd():
+    return ShardedIndex(lambda: KdTreeIndex(leaf_size=4), 2).build(KD_POINTS)
+
+
+#: name -> (fresh built index, point dimension; ``None`` for scalar keys).
+BLOCK_CASES = {
+    "bvh": (lambda: BvhRadiusIndex().build(BVH_POINTS, BVH_RADIUS), 3),
+    "kdtree": (lambda: KdTreeIndex(leaf_size=4).build(KD_POINTS), 3),
+    "hnsw": (lambda: HnswIndex(seed=0).build(HNSW_POINTS), 6),
+    "btree": (lambda: BTreeKvIndex(branch=4).build(np.arange(50.0)), None),
+    "sharded": (_sharded_kd, 3),
+}
+
+
+class TestQueryBlock:
+    """Every entry point validates its query block before any kernel
+    runs: non-finite values, the wrong rank and the wrong width raise
+    :class:`ConfigError`; a zero-row block still answers ``[]``."""
+
+    @pytest.mark.parametrize("name", sorted(BLOCK_CASES))
+    def test_malformed_blocks_raise_before_any_kernel(self, name):
+        make, dim = BLOCK_CASES[name]
+        index = make()
+        if dim is None:
+            good = np.array([3.0, 7.0, 11.0])
+            bad = {
+                "nan": np.array([3.0, np.nan]),
+                "inf": np.array([np.inf, 7.0]),
+                "width": np.ones((3, 2)),
+                "rank": np.float64(3.0),
+            }
+        else:
+            good = _points(3, dim=dim, seed=19)
+            nan_row, inf_row = good.copy(), good.copy()
+            nan_row[1, 0] = np.nan
+            inf_row[0, -1] = -np.inf
+            bad = {
+                "nan": nan_row,
+                "inf": inf_row,
+                "width": good[:1, :-1] if dim > 1 else np.ones((1, 2)),
+                "rank": good[0],
+            }
+        bad["ragged"] = [[1.0, 2.0], [3.0]]
+        for label, block in bad.items():
+            with pytest.raises(ConfigError):
+                index.query_batch(block)
+            assert index.stats()["queries"] == 0, label
+        assert index.query_batch(good[:0]).neighbors == []
+        assert len(index.query_batch(good)) == len(good)
 
 
 class TestSimulateValidation:

@@ -15,6 +15,7 @@ from repro.search import (
     BvhRadiusIndex,
     HnswIndex,
     KdTreeIndex,
+    QuerySpec,
     SearchIndex,
 )
 
@@ -40,7 +41,7 @@ class TestProtocol:
     def test_query_before_build_is_an_error(self, queries):
         for adapter in (BvhRadiusIndex(), KdTreeIndex(), HnswIndex()):
             with pytest.raises(BuildError):
-                adapter.query(queries[0])
+                adapter.query_batch(queries)
 
     def test_bad_bvh_parameters_rejected(self):
         with pytest.raises(BuildError):
@@ -54,11 +55,12 @@ class TestBvhAdapter:
         radius = 0.05
         index = BvhRadiusIndex().build(points, radius)
         bvh = build_lbvh_for_points(points, radius)
-        for q in queries:
+        batch = index.query_batch(queries, record_events=True)
+        for qi, q in enumerate(queries):
             stats = TraversalStats(record_events=True)
             direct = radius_search(bvh, points, q, radius, stats=stats)
-            assert index.query(q, record_events=True) == direct
-            assert index.last_events == stats.events
+            assert batch.neighbors[qi] == direct
+            assert batch.events.query_events(qi) == stats.events
         shape = index.stats()
         assert shape["structure"] == "bvh"
         assert shape["queries"] == len(queries)
@@ -71,12 +73,14 @@ class TestKdTreeAdapter:
     def test_matches_direct_knn_search(self, points, queries):
         index = KdTreeIndex(leaf_size=8).build(points)
         tree = build_kdtree(points, leaf_size=8)
-        for q in queries:
+        batch = index.query_batch(
+            queries, spec=QuerySpec(k=5, max_checks=64), record_events=True
+        )
+        for qi, q in enumerate(queries):
             stats = KdSearchStats(record_events=True)
             direct = knn_search(tree, q, k=5, max_checks=64, stats=stats)
-            assert index.query(q, k=5, max_checks=64,
-                               record_events=True) == direct
-            assert index.last_events == stats.events
+            assert batch.neighbors[qi] == direct
+            assert batch.events.query_events(qi) == stats.events
         shape = index.stats()
         assert shape["structure"] == "kdtree"
         assert shape["dist_tests"] > 0
@@ -88,11 +92,14 @@ class TestHnswAdapter:
     def test_matches_direct_graph_search(self, points, queries):
         index = HnswIndex(m=8, ef_construction=32, seed=3).build(points)
         graph = build_hnsw(points, m=8, ef_construction=32, seed=3)
-        for q in queries:
+        batch = index.query_batch(
+            queries, spec=QuerySpec(k=5, ef=16), record_events=True
+        )
+        for qi, q in enumerate(queries):
             stats = GraphSearchStats(record_events=True)
             direct = search(graph, q, k=5, ef=16, stats=stats)
-            assert index.query(q, k=5, ef=16, record_events=True) == direct
-            assert index.last_events == stats.events
+            assert batch.neighbors[qi] == direct
+            assert batch.events.query_events(qi) == stats.events
         shape = index.stats()
         assert shape["structure"] == "hnsw"
         assert shape["nodes_expanded"] > 0

@@ -15,8 +15,9 @@ import json
 import numpy as np
 import pytest
 
+from repro.btree.btree import BTreeStats
 from repro.errors import ConfigError, ReproError
-from repro.search import BTreeKvIndex, KdTreeIndex
+from repro.search import BTreeKvIndex, KdTreeIndex, QuerySpec
 from repro.serving import (
     AdmissionError,
     Batcher,
@@ -185,25 +186,33 @@ class TestBatcherProperties:
 
 class TestBTreeKvIndex:
     def test_scalar_and_batch_agree_including_events(self):
+        """``BTree.lookup`` is the per-probe oracle: the value at the
+        key's sorted rank for a hit, ``[]`` for a miss, and the event
+        stream either way."""
         index = BTreeKvIndex(branch=8).build(KEYS)
         probes = _kv_queries(32, seed=11)
         batch = index.query_batch(probes, record_events=True)
         for qi, probe in enumerate(probes):
-            scalar = index.query(float(probe), record_events=True)
-            assert batch.neighbors[qi] == scalar
-            assert batch.events.query_events(qi) == index.last_events
+            stats = BTreeStats(record_events=True)
+            value = index.tree.lookup(float(probe), stats=stats)
+            rank = int(np.searchsorted(index.sorted_keys, probe))
+            expected = [] if value is None else [(rank, float(value))]
+            assert batch.neighbors[qi] == expected
+            assert batch.events.query_events(qi) == stats.events
 
     def test_hits_carry_rank_and_value(self):
         index = BTreeKvIndex(branch=8).build(KEYS)
-        [(rank, value)] = index.query(float(KEYS[17]))
+        [(rank, value)], miss = index.query_batch(
+            [KEYS[17], KEYS[17] + 1.0]
+        ).neighbors
         assert rank == 17
         assert value == KEYS[17]
-        assert index.query(float(KEYS[17]) + 1.0) == []
+        assert miss == []
 
     def test_values_default_to_keys_and_custom_values_roundtrip(self):
         values = KEYS * 10.0
         index = BTreeKvIndex(branch=8).build(KEYS, values=values)
-        [(_, value)] = index.query(float(KEYS[5]))
+        [[(_, value)]] = index.query_batch([KEYS[5]]).neighbors
         assert value == values[5]
 
     def test_protocol_surface(self):
@@ -221,7 +230,7 @@ class TestBTreeKvIndex:
         from repro.errors import BuildError
 
         with pytest.raises(BuildError):
-            BTreeKvIndex().query(1.0)
+            BTreeKvIndex().query_batch([1.0])
 
 
 class TestCostModel:
@@ -399,7 +408,7 @@ class TestQueryService:
         )
         endpoint = Endpoint(
             name="knn_tcp", kind="knn", family="flann", abbr="T",
-            index=KdTreeIndex().build(dataset), params={"k": 3},
+            index=KdTreeIndex().build(dataset), spec=QuerySpec(k=3),
         )
 
         async def main():

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from repro.errors import BuildError, ConfigError
-from repro.search import BTreeKvIndex, BvhRadiusIndex, HnswIndex, KdTreeIndex
+from repro.search import (
+    BTreeKvIndex,
+    BvhRadiusIndex,
+    HnswIndex,
+    KdTreeIndex,
+    QuerySpec,
+)
 from repro.sharding import (
     COORD_BYTES,
     RESULT_BYTES,
@@ -206,8 +212,8 @@ class TestKdEquivalence:
         queries = _queries(30)
         params = {"k": k, "max_checks": 100_000}
         assert (
-            sharded.query_batch(queries, **params).neighbors
-            == reference.query_batch(queries, **params).neighbors
+            sharded.query_batch(queries, spec=QuerySpec(**params)).neighbors
+            == reference.query_batch(queries, spec=QuerySpec(**params)).neighbors
         )
 
     @pytest.mark.parametrize("metric", ["l1", "linf", "cosine"])
@@ -225,8 +231,8 @@ class TestKdEquivalence:
         ).build(points)
         params = {"k": 5, "max_checks": 100_000}
         assert (
-            sharded.query_batch(queries, **params).neighbors
-            == reference.query_batch(queries, **params).neighbors
+            sharded.query_batch(queries, spec=QuerySpec(**params)).neighbors
+            == reference.query_batch(queries, spec=QuerySpec(**params)).neighbors
         )
 
     def test_duplicates_match_when_k_covers_the_tie_set(self):
@@ -239,8 +245,8 @@ class TestKdEquivalence:
         sharded = ShardedIndex(KdTreeIndex, 4).build(points)
         queries = _queries(10)
         params = {"k": 320, "max_checks": 100_000}
-        ref = reference.query_batch(queries, **params).neighbors
-        got = sharded.query_batch(queries, **params).neighbors
+        ref = reference.query_batch(queries, spec=QuerySpec(**params)).neighbors
+        got = sharded.query_batch(queries, spec=QuerySpec(**params)).neighbors
         for ref_row, got_row in zip(ref, got):
             assert sorted(ref_row) == sorted(got_row)
 
@@ -251,8 +257,8 @@ class TestKdEquivalence:
         queries = _queries(5)
         params = {"k": 3, "max_checks": 100}
         assert (
-            sharded.query_batch(queries, **params).neighbors
-            == reference.query_batch(queries, **params).neighbors
+            sharded.query_batch(queries, spec=QuerySpec(**params)).neighbors
+            == reference.query_batch(queries, spec=QuerySpec(**params)).neighbors
         )
 
 
@@ -266,8 +272,8 @@ class TestHnswEquivalence:
         queries = _queries(15, dim=8)
         params = {"k": k, "ef": 1000}  # ef > N: per-shard search is exact
         assert (
-            sharded.query_batch(queries, **params).neighbors
-            == reference.query_batch(queries, **params).neighbors
+            sharded.query_batch(queries, spec=QuerySpec(**params)).neighbors
+            == reference.query_batch(queries, spec=QuerySpec(**params)).neighbors
         )
 
 

@@ -148,17 +148,3 @@ class TestPairedSpeedup:
                 for i in w.instructions
             )
             assert hsu_slots < base_slots, maker.__name__
-
-
-@pytest.mark.filterwarnings("error::DeprecationWarning")
-@pytest.mark.parametrize(
-    "maker, kwargs",
-    [
-        (run_flann, {"abbr": "R10K", "num_queries": 64}),
-        (run_ggnn, {"abbr": "S10K", "num_queries": 4}),
-    ],
-)
-def test_knn_workloads_query_through_spec(maker, kwargs):
-    """The kNN workloads pass ``spec=QuerySpec(...)``, not the deprecated
-    query keywords, so a campaign job emits no DeprecationWarning."""
-    assert maker(**kwargs).warp_ops
