@@ -417,23 +417,12 @@ def _simulate_named(
             scale=job.scale, shards=job.shards, shard=job.shard,
             metric=job.metric,
         )
-        if job.shards != 1 or job.scale != 1.0:
-            bundle = sharded_trace_bundle(
-                job.abbr, job.queries, job.euclid_width,
-                scale=job.scale, shards=job.shards, shard=job.shard,
-            )
-        else:
-            bundle = trace_bundle(
-                job.family, job.abbr, job.queries, job.euclid_width,
-                metric=job.metric,
-            )
-        kernel = bundle.baseline if variant == "baseline" else bundle.hsu
         return campaign.cached_simulate(
             job.family,
             job.abbr,
             job.variant_label,
             config,
-            kernel,
+            campaign.job_trace(job),
             run_id=job.run_id,
             workload=params | {"variant": job.variant_label},
         )

@@ -28,11 +28,18 @@ for the layout and the invalidation rules):
   the workload* (GGNN trace collection alone costs minutes).  Trace-tier
   entries are keyed by the workload parameters and
   :data:`CACHE_SCHEMA_VERSION`; whenever a workload *is* re-executed the
-  fresh fingerprint overwrites the entry, so stale mappings self-heal on
-  any cold or ``rebuild`` run.
+  entry is rewritten if the fresh fingerprint differs, so stale mappings
+  self-heal on any cold or ``rebuild`` run.
 
 Corrupted or schema-incompatible entries are treated as misses and
-recomputed (then overwritten).  ``python -m repro.experiments.campaign``
+recomputed (then overwritten).  Every cache entry and manifest goes
+through one writer,
+:func:`~repro.gpusim.observability.write_if_changed`, which leaves a file
+that already holds the same bytes untouched.
+
+Within a campaign each trace is ingested once (:class:`TraceIngest`): the
+design points that share a trace reuse its fingerprint and, per pack key,
+its SoA pack.  ``python -m repro.experiments.campaign``
 runs the default §V campaign from the command line; ``run_all`` uses the
 same machinery to prewarm the cache before rendering the figures.
 """
@@ -50,13 +57,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.errors import ConfigError
-from repro.gpusim import GpuConfig, GpuSimulator
+from repro.gpusim import GpuConfig, GpuSimulator, engine
 from repro.gpusim.observability import (
     build_manifest,
     manifests_enabled,
     results_dir,
+    write_if_changed,
     write_manifest,
 )
+from repro.gpusim.soa import PackedKernel, pack_key
 from repro.gpusim.stats import SimStats
 from repro.gpusim.trace import KernelTrace
 
@@ -313,10 +322,7 @@ def _trace_path(key: str) -> Path:
 
 
 def _write_entry(path: Path, payload: dict[str, object]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp{os.getpid()}")
-    tmp.write_text(json.dumps(payload, sort_keys=True) + "\n")
-    tmp.replace(path)
+    write_if_changed(path, json.dumps(payload, sort_keys=True) + "\n")
     cache_stats.stores += 1
 
 
@@ -326,7 +332,7 @@ def _load_entry(path: Path, key: str, required: tuple[str, ...]) -> dict | None:
     A partially written file, invalid JSON, a wrong-schema payload, or a
     payload whose recorded key disagrees with its filename all return
     ``None`` (and count as ``corrupt``); the caller recomputes and the
-    store overwrites the bad entry.
+    store overwrites the bad entry (its bytes differ from the fresh ones).
     """
     try:
         payload = json.loads(path.read_text())
@@ -463,6 +469,7 @@ def cached_simulate(
     run_id: str | None = None,
     workload: dict[str, object] | None = None,
     trace_sha: str | None = None,
+    ingest: TraceIngest | None = None,
 ) -> SimStats:
     """Simulate through the persistent cache (the ``simulate_recorded`` core).
 
@@ -473,7 +480,8 @@ def cached_simulate(
     documents the run that actually computed the numbers); on a miss the
     simulation runs, stamps its manifest, and stores the entry.  Callers
     that already fingerprinted the kernel pass ``trace_sha`` to skip the
-    (non-trivial) re-hash.
+    (non-trivial) re-hash, and callers holding ``kernel``'s
+    :class:`TraceIngest` pass it so a miss reuses its pack.
     """
     mode = cache_mode()
     wkey = dict(workload) if workload is not None else {
@@ -495,7 +503,8 @@ def cached_simulate(
                 _restamp_manifest(payload["manifest"])
             return stats
     cache_stats.misses += 1
-    sim = GpuSimulator(config, kernel)
+    packed = ingest.pack(config) if ingest is not None else None
+    sim = GpuSimulator(config, kernel, packed=packed)
     sim_start = time.perf_counter()
     stats = sim.run()
     phase_stats.simulate += time.perf_counter() - sim_start
@@ -545,16 +554,79 @@ def _warm_workload_module(family: str) -> None:
         importlib.import_module(module)
 
 
-def run_job(job: Job, mode: str | None = None) -> JobOutcome:
+class TraceIngest:
+    """The one trace a campaign holds ingested: its fingerprint and pack.
+
+    The jobs of a workload group simulate the two traces of one
+    process-cached bundle (:func:`repro.api.trace_bundle` or
+    :func:`repro.api.sharded_trace_bundle`) under several configs, so
+    :func:`run_job` fingerprints each trace once and
+    :meth:`pack` lowers it once per pack key
+    (:data:`repro.gpusim.soa.PACK_FIELDS`) instead of once per job.  At
+    most one trace is held, with at most one
+    :class:`~repro.gpusim.soa.PackedKernel`; both are released before
+    the next trace is fetched.  :func:`execute` makes one per serial
+    campaign and one per pool group; a :func:`run_job` without one
+    ingests afresh.
+    """
+
+    def __init__(self) -> None:
+        self._source: tuple | None = None
+        self._kernel: KernelTrace | None = None
+        self._trace_sha = ""
+        self._packed: PackedKernel | None = None
+
+    def fetch(self, job: Job) -> tuple[KernelTrace, str]:
+        """``job``'s trace and its fingerprint: the held ones if ``job``
+        simulates the held trace, else (after releasing those) fresh ones."""
+        source = (job.group, job.euclid_width, job.variant)
+        if source != self._source:
+            self._source = self._kernel = self._packed = None
+            self._kernel = job_trace(job)
+            self._trace_sha = self._kernel.fingerprint()
+            self._source = source
+        return self._kernel, self._trace_sha
+
+    def pack(self, config: GpuConfig) -> PackedKernel:
+        """The held trace's SoA pack under ``config``'s pack key."""
+        if self._packed is None or self._packed.key != pack_key(config):
+            self._packed = None  # release the old pack before building
+            self._packed = engine.pack_kernel(self._kernel, config)
+        return self._packed
+
+
+def job_trace(job: Job) -> KernelTrace:
+    """The job's trace, from its process-cached bundle
+    (:func:`repro.api.trace_bundle` or
+    :func:`repro.api.sharded_trace_bundle`)."""
+    from repro import api  # deferred: the facade wires onto us
+
+    if job.shards != 1 or job.scale != 1.0:
+        bundle = api.sharded_trace_bundle(
+            job.abbr, job.queries, job.euclid_width,
+            scale=job.scale, shards=job.shards, shard=job.shard,
+        )
+    else:
+        bundle = api.trace_bundle(
+            job.family, job.abbr, job.queries, job.euclid_width,
+            metric=job.metric,
+        )
+    return bundle.baseline if job.variant == "baseline" else bundle.hsu
+
+
+def run_job(
+    job: Job, mode: str | None = None, ingest: TraceIngest | None = None
+) -> JobOutcome:
     """Run one campaign job, consulting both cache tiers.
 
     Fast path (warm): the trace-tier entry maps the job's workload
     parameters to a trace fingerprint without executing the workload; the
     stats tier then supplies the result.  Cold path: execute the workload
     (process-local ``lru_cache`` shares it across the group's jobs),
-    lower, fingerprint, simulate, and populate both tiers.
+    lower, fingerprint, simulate, and populate both tiers.  ``ingest``
+    carries the trace, fingerprint and pack over from the previous job
+    when this job simulates the same trace.
     """
-    from repro import api  # deferred: the facade wires onto us
     from repro.experiments import common  # deferred: the registry
 
     _warm_workload_module(job.family)
@@ -588,18 +660,8 @@ def run_job(job: Job, mode: str | None = None) -> JobOutcome:
                     job, stats, True, time.perf_counter() - start, skey
                 )
     gen_start = time.perf_counter()
-    if job.shards != 1 or job.scale != 1.0:
-        bundle = api.sharded_trace_bundle(
-            job.abbr, job.queries, job.euclid_width,
-            scale=job.scale, shards=job.shards, shard=job.shard,
-        )
-    else:
-        bundle = api.trace_bundle(
-            job.family, job.abbr, job.queries, job.euclid_width,
-            metric=job.metric,
-        )
-    kernel = bundle.baseline if job.variant == "baseline" else bundle.hsu
-    trace_sha = kernel.fingerprint()
+    ingest = ingest if ingest is not None else TraceIngest()
+    kernel, trace_sha = ingest.fetch(job)
     phase_stats.tracegen += time.perf_counter() - gen_start
     if mode != "off":
         store_trace_entry(tkey, params, job.variant, kernel, trace_sha)
@@ -614,6 +676,7 @@ def run_job(job: Job, mode: str | None = None) -> JobOutcome:
         run_id=job.run_id,
         workload=wkey,
         trace_sha=trace_sha,
+        ingest=ingest,
     )
     hit = cache_stats.hits > before.hits
     return JobOutcome(job, stats, hit, time.perf_counter() - start, skey)
@@ -782,17 +845,15 @@ def _worker(
     if not manifests:
         os.environ["REPRO_MANIFESTS"] = "0"
     set_cache_mode(mode)
-    records = []
-    for job in jobs:
-        records.append(_run_recorded(job))
-    return records
+    ingest = TraceIngest()
+    return [_run_recorded(job, ingest) for job in jobs]
 
 
-def _run_recorded(job: Job) -> JobRecord:
+def _run_recorded(job: Job, ingest: TraceIngest) -> JobRecord:
     start = time.perf_counter()
     phases_before = phase_stats.snapshot()
     try:
-        outcome = run_job(job)
+        outcome = run_job(job, ingest=ingest)
     except Exception as exc:  # noqa: BLE001 - a job failure must not abort the campaign
         return JobRecord(
             job,
@@ -890,8 +951,6 @@ def write_campaign_manifest(summary: CampaignSummary) -> Path:
     Workers stamp their own per-run manifests as they go; this rolls the
     campaign up into a single auditable artifact referencing each of them.
     """
-    directory = results_dir()
-    directory.mkdir(parents=True, exist_ok=True)
     payload = {
         "campaign": summary.label,
         "schema": CACHE_SCHEMA_VERSION,
@@ -916,10 +975,8 @@ def write_campaign_manifest(summary: CampaignSummary) -> Path:
             for r in sorted(summary.records, key=lambda r: r.job.run_id)
         ],
     }
-    path = directory / f"campaign-{summary.label}.json"
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    tmp.replace(path)
+    path = results_dir() / f"campaign-{summary.label}.json"
+    write_if_changed(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 
 
@@ -964,6 +1021,7 @@ def execute(
             by_job[record.job] = record
 
     if jobs_n <= 1 or len(groups) <= 1:
+        ingest = TraceIngest()
         for attempt in range(1, retries + 2):
             pending = [
                 job
@@ -973,7 +1031,7 @@ def execute(
             ]
             if not pending:
                 break
-            absorb([_run_recorded(job) for job in pending], attempt)
+            absorb([_run_recorded(job, ingest) for job in pending], attempt)
     else:
         _execute_pool(
             groups, by_job, jobs_n, mode, per_job_timeout, retries, absorb

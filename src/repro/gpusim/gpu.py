@@ -32,7 +32,7 @@ component diagram.
 
 from __future__ import annotations
 
-from repro.errors import TraceError
+from repro.errors import ConfigError, TraceError
 from repro.gpusim import engine
 from repro.gpusim.config import GpuConfig
 from repro.kernels import get_backend
@@ -41,6 +41,7 @@ from repro.gpusim.observability import MetricsRegistry, TimelineTracer
 from repro.gpusim.resource import Timeline
 from repro.gpusim.rtunit import RtUnit
 from repro.gpusim.scheduler import build_scheduler
+from repro.gpusim.soa import PackedKernel, pack_key
 from repro.gpusim.stats import SimStats
 from repro.gpusim.trace import (
     KIND_ALU,
@@ -229,6 +230,11 @@ class GpuSimulator:
     Composition root: builds the memory system and scheduler named by the
     config, one :class:`SmCore` per SM, and the metrics registry they all
     register into; :meth:`run` runs the policy-agnostic event engine.
+
+    ``packed`` is an optional prebuilt :class:`~repro.gpusim.soa.PackedKernel`
+    of ``kernel``, shared by simulations of one trace under configs with
+    the same pack key; a pack built from another kernel object or under
+    another pack key raises :class:`~repro.errors.ConfigError`.
     """
 
     def __init__(
@@ -236,8 +242,17 @@ class GpuSimulator:
         config: GpuConfig,
         kernel: KernelTrace,
         tracer: TimelineTracer | None = None,
+        packed: PackedKernel | None = None,
     ) -> None:
         kernel.validate()
+        if packed is not None:
+            if packed.kernel is not kernel:
+                raise ConfigError("prebuilt pack was built from another kernel")
+            if packed.key != pack_key(config):
+                raise ConfigError(
+                    f"prebuilt pack has pack key {packed.key}, but this "
+                    f"config's is {pack_key(config)}"
+                )
         self.config = config
         self.kernel = kernel
         self.tracer = tracer
@@ -251,11 +266,13 @@ class GpuSimulator:
         self.scheduler = build_scheduler(config.scheduler)
         self._register_metrics()
         # Trace lowering happens at ingest: the engine's SoA columns are a
-        # pure function of (trace, config), so packing here keeps
+        # pure function of (trace, pack key), so packing here keeps
         # :meth:`run` free of lowering cost (and out of the benchmarked
         # simulate phase, mirroring how trace *generation* is not
         # simulation either).
-        self._packed = engine.pack_kernel(kernel, config)
+        self._packed = (
+            packed if packed is not None else engine.pack_kernel(kernel, config)
+        )
 
     @property
     def l2(self):

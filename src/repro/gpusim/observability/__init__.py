@@ -27,6 +27,7 @@ from repro.gpusim.observability.manifest import (
     load_manifest,
     manifests_enabled,
     results_dir,
+    write_if_changed,
     write_manifest,
 )
 from repro.gpusim.observability.registry import (
@@ -70,5 +71,6 @@ __all__ = [
     "load_manifest",
     "manifests_enabled",
     "results_dir",
+    "write_if_changed",
     "write_manifest",
 ]

@@ -146,16 +146,38 @@ def build_manifest(
     )
 
 
+def write_if_changed(path: Path, text: str) -> bool:
+    """Atomically make ``path`` hold ``text``; returns whether it wrote.
+
+    A file that already holds exactly these bytes is left alone — same
+    inode, same mtime — so re-storing an unchanged cache entry or
+    re-stamping an unchanged manifest costs one read, not a rename onto
+    an existing name (which ext4 follows with a data flush).  Any other
+    content, a stale or corrupt file included, is replaced through a
+    per-process temporary beside it and one rename, so a reader never
+    sees a partial file.
+    """
+    data = text.encode("utf-8")
+    try:
+        if path.read_bytes() == data:
+            return False
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    tmp.write_bytes(data)
+    os.replace(tmp, path)
+    return True
+
+
 def write_manifest(manifest: RunManifest, out_dir: Path | None = None) -> Path:
-    """Write ``<out_dir>/<run-id>.json`` (atomic rename); returns the path."""
+    """Write ``<out_dir>/<run-id>.json`` (:func:`write_if_changed`);
+    returns the path."""
     directory = Path(out_dir) if out_dir is not None else results_dir()
-    directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{manifest.run_id}.json"
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(
-        json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    write_if_changed(
+        path,
+        json.dumps(manifest.to_json_dict(), indent=2, sort_keys=True) + "\n",
     )
-    tmp.replace(path)
     return path
 
 

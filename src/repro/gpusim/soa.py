@@ -42,10 +42,15 @@ layout over warps):
 * ``hsubusy`` — HSU datapath occupancy (``active * beats``).
 
 Columns are plain Python lists (fastest for the engine's scalar
-indexing).  Packing depends only on the config fields named in the
-column definitions — never on scheduler or memory model — and is a pure
-function of the trace, so it cannot perturb fingerprints, goldens, or
-cache keys.
+indexing).  Packing reads only the config fields named in
+:data:`PACK_FIELDS` (their values form the *pack key*,
+:func:`pack_key`) — never warp-buffer size, scheduler or memory model —
+and is a pure function of the trace, so it cannot perturb fingerprints,
+goldens, or cache keys.  A pack is therefore built once per trace and
+pack key and may be shared by every simulation of that trace under any
+config with the same key: a caller passes it in as
+``GpuSimulator(config, kernel, packed=...)``, which checks that it was
+built from that kernel under that key.  The engine only reads a pack.
 """
 
 from __future__ import annotations
@@ -58,11 +63,33 @@ from repro.kernels import get_backend
 _CODE_LDG = KIND_CODES["ldg"]
 _CODE_HSU = KIND_CODES["hsu"]
 
+#: The ``GpuConfig`` fields a pack reads, in :func:`pack_key` order.
+PACK_FIELDS = (
+    "alu_latency",
+    "sfu_latency",
+    "shared_latency",
+    "line_bytes",
+    "num_sms",
+)
+
+
+def pack_key(config: GpuConfig) -> tuple:
+    """The values of :data:`PACK_FIELDS` in ``config``: two configs with
+    equal keys lower a trace to identical columns."""
+    return tuple(getattr(config, name) for name in PACK_FIELDS)
+
 
 class PackedKernel:
-    """One kernel trace lowered into flat per-instruction columns."""
+    """One kernel trace lowered into flat per-instruction columns.
+
+    ``kernel`` and ``key`` record what the pack was built from: the trace
+    object and the :func:`pack_key` of the config.  The config is read
+    only through that key.
+    """
 
     __slots__ = (
+        "kernel",
+        "key",
         "starts",
         "lengths",
         "kind",
@@ -81,12 +108,10 @@ class PackedKernel:
     )
 
     def __init__(self, kernel: KernelTrace, config: GpuConfig) -> None:
-        latencies = (
-            config.alu_latency,
-            config.sfu_latency,
-            config.shared_latency,
-        )
-        line_bytes = config.line_bytes
+        self.kernel = kernel
+        self.key = pack_key(config)
+        alu, sfu, shared, line_bytes, num_sms = self.key
+        latencies = (alu, sfu, shared)
         coalesce = get_backend().coalesce_lines
         starts = [0]
         lengths = []
@@ -98,7 +123,6 @@ class PackedKernel:
         able: list[int] = []
         attrs: list = []
         lines: list = []
-        num_sms = config.num_sms
         static_kinds = [[0] * 5 for _ in range(num_sms)]
         static_wi = [0] * num_sms
         static_able = [0] * num_sms

@@ -164,11 +164,13 @@ class KernelTrace:
         fingerprint and therefore busts the cache.
         """
         digest = hashlib.blake2b(digest_size=20)
-        parts = [self.name.encode("utf-8")]
-        append = parts.append
+        digest.update(self.name.encode("utf-8"))
+        # One update per warp: the digest streams over the same bytes as
+        # one update over the whole serialized trace, holding one warp's
+        # records at a time.
         for warp in self.warps:
-            append(b"\x00warp\x00")
-            append(warp.label.encode("utf-8"))
+            parts = [b"\x00warp\x00", warp.label.encode("utf-8")]
+            append = parts.append
             for i in warp.instructions:
                 # Formatted inline (each field through !r), byte-identical
                 # to repr() of the 9-field record tuple the digest has
@@ -179,5 +181,5 @@ class KernelTrace:
                     f" {i.bytes_per_thread!r}, {opcode!r}, {i.beats!r},"
                     f" {i.hsu_able!r}, {i.chain!r})".encode("utf-8")
                 )
-        digest.update(b"".join(parts))
+            digest.update(b"".join(parts))
         return digest.hexdigest()

@@ -8,12 +8,24 @@ without aborting the campaign.
 """
 
 import json
+import os
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro import api
-from repro.experiments import campaign
-from repro.gpusim import GpuConfig, KernelTrace, VOLTA_V100, WarpInstr, WarpTrace
+from repro.errors import ConfigError
+from repro.experiments import campaign, common
+from repro.gpusim import (
+    GpuConfig,
+    GpuSimulator,
+    KernelTrace,
+    VOLTA_V100,
+    WarpInstr,
+    WarpTrace,
+    engine,
+)
 from repro.gpusim.observability import config_hash
 from repro.gpusim.stats import SimStats
 
@@ -21,6 +33,14 @@ from repro.gpusim.stats import SimStats
 BTREE_BASE = campaign.Job("btree", "B+10K", "baseline", queries=32)
 BTREE_HSU = campaign.Job("btree", "B+10K", "hsu", queries=32)
 BVHNN_BASE = campaign.Job("bvhnn", "R10K", "baseline", queries=32)
+#: One bvhnn group: two traces shared by four design points.
+BVHNN_GROUP = [
+    BVHNN_BASE,
+    *(
+        campaign.Job("bvhnn", "R10K", "hsu", warp_buffer=size, queries=32)
+        for size in (1, 4, 8)
+    ),
+]
 
 
 @pytest.fixture(autouse=True)
@@ -37,6 +57,39 @@ def isolated_cache(tmp_path, monkeypatch):
 
 def _clear_process_caches():
     api.clear_caches()
+
+
+def _count_calls(monkeypatch, owner, name) -> Counter:
+    """Patch ``owner.name`` to count its calls under ``"calls"``."""
+    counts = Counter()
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts["calls"] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return counts
+
+
+def _count_renames(monkeypatch) -> Counter:
+    """Count ``os.replace`` calls per target path."""
+    counts = Counter()
+    original = os.replace
+
+    def counted(src, dst):
+        counts[Path(dst)] += 1
+        return original(src, dst)
+
+    monkeypatch.setattr(os, "replace", counted)
+    return counts
+
+
+def _job_config(job: campaign.Job) -> GpuConfig:
+    config = common.config_for(job.family)
+    if job.variant == "hsu":
+        config = config.with_warp_buffer(job.warp_buffer)
+    return config.with_scheduler(job.scheduler).with_memory(job.memory)
 
 
 class TestKeys:
@@ -166,6 +219,77 @@ class TestCache:
         assert warm.cached
         assert manifest.read_text() == original
         assert cold.stats == warm.stats
+
+
+class TestIngest:
+    """Each trace of a campaign is fingerprinted once and packed once per
+    pack key, and an unchanged file is never rewritten."""
+
+    def test_cold_group_ingests_each_trace_once(self, monkeypatch):
+        with monkeypatch.context() as patch:
+            fingerprints = _count_calls(patch, KernelTrace, "fingerprint")
+            packs = _count_calls(patch, engine, "pack_kernel")
+            renames = _count_renames(patch)
+            summary = campaign.execute(BVHNN_GROUP, jobs_n=1, label="group")
+        assert summary.ok and summary.misses == len(BVHNN_GROUP)
+        assert fingerprints["calls"] == 2  # the baseline and the HSU trace
+        assert packs["calls"] == 2
+        traces = set((campaign.cache_dir() / "traces").glob("*.json"))
+        assert {p for p in renames if p.parent.name == "traces"} == traces
+        assert all(renames[p] == 1 for p in traces)
+        bundle = api.trace_bundle("bvhnn", "R10K", 32)
+        for job in BVHNN_GROUP:
+            kernel = bundle.baseline if job.variant == "baseline" else bundle.hsu
+            fresh = GpuSimulator(_job_config(job), kernel).run()
+            assert summary.stats_for(job) == fresh
+
+    def test_warm_hit_leaves_restamped_manifest_untouched(self):
+        campaign.run_job(BTREE_BASE)
+        manifest = campaign.results_dir() / f"{BTREE_BASE.run_id}.json"
+        cold_stat, cold_text = manifest.stat(), manifest.read_text()
+        _clear_process_caches()
+        assert campaign.run_job(BTREE_BASE).cached
+        warm_stat = manifest.stat()
+        assert warm_stat.st_ino == cold_stat.st_ino
+        assert warm_stat.st_mtime_ns == cold_stat.st_mtime_ns
+        assert manifest.read_text() == cold_text
+
+    def test_stale_trace_entry_is_the_only_rewrite(self, monkeypatch):
+        campaign.execute(BVHNN_GROUP, jobs_n=1, label="cold")
+        params = common.workload_params("bvhnn", "R10K", 32)
+        path = campaign._trace_path(campaign.trace_key(params, "hsu", 16))
+        fresh = path.read_text()
+        stale = json.loads(fresh) | {"trace_sha": "0" * 40}
+        path.write_text(json.dumps(stale, sort_keys=True) + "\n")
+        _clear_process_caches()
+        renames = _count_renames(monkeypatch)
+        summary = campaign.execute(
+            BVHNN_GROUP, jobs_n=1, mode="rebuild", label="rebuild"
+        )
+        assert summary.ok
+        assert path.read_text() == fresh
+        assert {p for p in renames if p.parent.name == "traces"} == {path}
+        assert renames[path] == 1
+
+    def test_simulator_rejects_a_foreign_pack(self):
+        def kernel():
+            return KernelTrace(
+                warps=[WarpTrace(instructions=[WarpInstr("alu", repeat=4)])],
+                name="pack-probe",
+            )
+
+        config = GpuConfig(num_sms=1)
+        mine = kernel()
+        packed = engine.pack_kernel(mine, config)
+        with pytest.raises(ConfigError, match="another kernel"):
+            GpuSimulator(config, kernel(), packed=packed)
+        with pytest.raises(ConfigError, match="pack key"):
+            GpuSimulator(GpuConfig(num_sms=2), mine, packed=packed)
+        shared = config.with_warp_buffer(2).with_scheduler("lrr")
+        assert (
+            GpuSimulator(shared, mine, packed=packed).run()
+            == GpuSimulator(shared, mine).run()
+        )
 
 
 class TestExecute:

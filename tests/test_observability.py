@@ -14,6 +14,7 @@ from repro.gpusim.observability import (
     canonical_name,
     config_hash,
     load_manifest,
+    write_if_changed,
     write_manifest,
 )
 from repro.gpusim.observability.tracer import (
@@ -199,6 +200,18 @@ class TestManifest:
         assert loaded.metrics["sm0/l1/misses"] == 7
         assert loaded.config["num_sms"] == 80
         assert loaded.config_sha256 == config_hash(VOLTA_V100)
+
+    def test_write_if_changed_rewrites_only_other_bytes(self, tmp_path):
+        path = tmp_path / "sub" / "entry.json"
+        assert write_if_changed(path, "{}\n")
+        before = path.stat()
+        assert not write_if_changed(path, "{}\n")
+        assert path.stat().st_ino == before.st_ino
+        assert path.stat().st_mtime_ns == before.st_mtime_ns
+        path.write_text("{ truncat")
+        assert write_if_changed(path, "{}\n")
+        assert path.read_text() == "{}\n"
+        assert sorted(p.name for p in path.parent.iterdir()) == ["entry.json"]
 
     def test_config_hash_stable_and_sensitive(self):
         assert config_hash(VOLTA_V100) == config_hash(VOLTA_V100)

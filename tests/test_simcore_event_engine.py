@@ -27,6 +27,7 @@ from repro.gpusim.config import (
 )
 from repro.gpusim.gpu import GpuSimulator
 from repro.gpusim.resource import PipelinedLane, Port, SlotPool, Timeline
+from repro.gpusim.soa import PACK_FIELDS, PackedKernel, pack_key, pack_kernel
 from repro.gpusim.stats import SimStats
 from repro.gpusim.trace import KernelTrace, WarpInstr, WarpTrace
 
@@ -267,6 +268,60 @@ class TestEngineMatchesReference:
         assert config.stable_hash() == entry["config_sha"], key
         stats = GpuSimulator(config, trace).run()
         assert stats.to_json_dict() == entry["simstats"], key
+
+
+class _RecordingConfig:
+    """A config stand-in that records every attribute read."""
+
+    def __init__(self, config: GpuConfig) -> None:
+        self._config = config
+        self.reads: set[str] = set()
+
+    def __getattr__(self, name: str):
+        self.reads.add(name)
+        return getattr(self._config, name)
+
+
+def _columns(packed: PackedKernel) -> dict:
+    return {
+        name: getattr(packed, name)
+        for name in PackedKernel.__slots__
+        if name not in ("kernel", "key")
+    }
+
+
+class TestPackContract:
+    """A pack reads only :data:`PACK_FIELDS` of its config, which is what
+    lets one pack serve every config with the same pack key."""
+
+    @staticmethod
+    def kernel() -> KernelTrace:
+        kernel = random_kernel(random.Random(7), num_warps=12)
+        kinds = {i.kind for warp in kernel.warps for i in warp.instructions}
+        assert kinds == {"alu", "sfu", "lds", "ldg", "hsu"}
+        return kernel
+
+    def test_pack_reads_exactly_the_pack_fields(self):
+        config = _RecordingConfig(SMALL)
+        PackedKernel(self.kernel(), config)
+        assert config.reads == set(PACK_FIELDS)
+
+    def test_columns_depend_only_on_the_pack_key(self):
+        kernel = self.kernel()
+        columns = _columns(pack_kernel(kernel, SMALL))
+        for same in (
+            replace(SMALL, warp_buffer_size=8),
+            replace(SMALL, scheduler="lrr"),
+            replace(SMALL, memory="perfect_dram"),
+        ):
+            assert pack_key(same) == pack_key(SMALL)
+            assert _columns(pack_kernel(kernel, same)) == columns
+        for other in (
+            replace(SMALL, line_bytes=64),
+            replace(SMALL, alu_latency=8),
+        ):
+            assert pack_key(other) != pack_key(SMALL)
+            assert _columns(pack_kernel(kernel, other)) != columns
 
 
 class LinearScanLane:
