@@ -11,3 +11,4 @@ def test_table3_config(once):
     assert paper["Sub-cores / SM"] == "4"
     assert paper["Warp Buffer Size"] == "8"
     assert paper["Max Warps / SM"] == "64"
+    assert paper["HSU Euclid / Angular Width"] == "16 / 8"

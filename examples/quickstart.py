@@ -4,7 +4,8 @@ Covers the three layers of the library:
 
 1. the functional HSU intrinsics (`euclid_dist`, `angular_dist`,
    `key_compare`) — the §III-B programming interface;
-2. the cycle-level datapath model executing mixed operating modes;
+2. the datapath's functional-unit budget: what the HSU adds to the
+   baseline RT unit (Fig. 6);
 3. a paired baseline/HSU timing simulation of a real workload.
 
 Run:  python examples/quickstart.py
@@ -15,14 +16,13 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import (
-    DatapathPipeline,
-    PipelineOp,
+    additional_fus_for_hsu,
     angular_dist,
     angular_distance_from_sums,
+    beat_count,
     euclid_dist,
     key_compare,
     key_compare_child_index,
-    plan_beats,
 )
 from repro.core.ops import query_norm
 from repro.gpusim import VOLTA_V100, simulate
@@ -36,10 +36,10 @@ def demo_intrinsics() -> None:
     candidate = rng.normal(size=96).astype(np.float32)
 
     d2 = euclid_dist(query, candidate)
-    beats = plan_beats(96, 16)
+    beats = beat_count(96, 16)
     print(f"squared euclidean distance (dim 96): {d2:.4f}")
-    print(f"  computed as {len(beats)} POINT_EUCLID beats "
-          f"({sum(b.accumulate for b in beats)} with the accumulate bit set)")
+    print(f"  computed as {beats} POINT_EUCLID beats "
+          f"({beats - 1} with the accumulate bit set)")
 
     dot_sum, norm_sum = angular_dist(query, candidate)
     angle = angular_distance_from_sums(dot_sum, norm_sum, query_norm(query))
@@ -52,23 +52,15 @@ def demo_intrinsics() -> None:
     print(f"KEY_COMPARE(128.0, 36 separators) -> child index {child}\n")
 
 
-def demo_pipeline() -> None:
-    print("== 2. Cycle-level unified datapath (Fig. 5) ==")
-    pipe = DatapathPipeline()
-    rng = np.random.default_rng(3)
-    q = rng.normal(size=16).astype(np.float32)
-    c = rng.normal(size=16).astype(np.float32)
-    # Issue a euclid op and a key-compare back-to-back: the unified pipeline
-    # supports mixed modes in flight.
-    pipe.try_issue(PipelineOp.euclid_beat(q, c, accumulate=False, owner=1, tag=42))
-    pipe.tick()
-    pipe.try_issue(
-        PipelineOp.key_compare_op(5.0, np.array([1.0, 4.0, 9.0]), owner=2, tag=43)
-    )
-    results = pipe.run_until_drained()
-    for result in results:
-        print(f"  cycle {result.cycle}: {result.mode.value} -> {result.value}")
-    print(f"  reference euclid: {euclid_dist(q, c):.4f}\n")
+def demo_datapath() -> None:
+    print("== 2. The unified 9-stage datapath (Fig. 5, Fig. 6) ==")
+    extra = additional_fus_for_hsu()
+    for stage, units in sorted(extra.items()):
+        added = ", ".join(f"{count} {kind.value}" for kind, count in units.items())
+        print(f"  stage {stage}: +{added}")
+    total = sum(sum(units.values()) for units in extra.values())
+    print(f"  {total} extra units over the baseline RT datapath "
+          "(§IV-C claims five extra adders)\n")
 
 
 def demo_simulation() -> None:
@@ -89,7 +81,7 @@ def demo_simulation() -> None:
 
 def main() -> None:
     demo_intrinsics()
-    demo_pipeline()
+    demo_datapath()
     demo_simulation()
 
 

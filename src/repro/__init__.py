@@ -3,8 +3,9 @@ Hierarchical Search Acceleration" (Barnes, Shen & Rogers, MICRO 2024).
 
 The package implements, entirely in Python:
 
-* the **Hierarchical Search Unit** (HSU) — ISA, functional semantics, and a
-  cycle-level model of the unified single-lane datapath (:mod:`repro.core`);
+* the **Hierarchical Search Unit** (HSU) — ISA, functional semantics, and
+  the one definition of the unified single-lane datapath's widths, beats,
+  depth and functional units (:mod:`repro.core`);
 * the four **hierarchical search substrates** the paper evaluates — an
   HNSW-style graph (:mod:`repro.graph`), a k-d tree (:mod:`repro.kdtree`),
   an LBVH (:mod:`repro.bvh`), and a B-tree (:mod:`repro.btree`) — plus the

@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.compiler.lowering import HsuWidths
+from repro.core.isa import EUCLID_WIDTH, check_euclid_width
 from repro.errors import ConfigError
 from repro.experiments import campaign
 from repro.gpusim import GpuConfig
@@ -117,6 +117,7 @@ def validate_simulate_args(
     variant: str = "hsu",
     config: GpuConfig | None = None,
     cache: str | None = None,
+    euclid_width: int = EUCLID_WIDTH,
     scale: float = 1.0,
     shards: int = 1,
     shard: int = 0,
@@ -144,6 +145,7 @@ def validate_simulate_args(
         raise ConfigError(
             f"unknown cache mode {cache!r} (want one of {_CACHE_MODES})"
         )
+    check_euclid_width(euclid_width)
     if scale <= 0:
         raise ConfigError(f"scale must be > 0, got {scale}")
     if shards < 1 or not 0 <= shard < shards:
@@ -204,20 +206,20 @@ def trace_bundle(
     family: str,
     abbr: str,
     queries: int | None = None,
-    euclid_width: int = 16,
+    euclid_width: int = EUCLID_WIDTH,
     metric: str = "euclid",
 ) -> TraceBundle:
     """Lowered paired traces for one named workload (small per-process
     cache — GGNN bundles are large)."""
     run = run_workload(family, abbr, queries, metric)
-    return to_traces(run, widths=HsuWidths(euclid=euclid_width))
+    return to_traces(run, euclid_width=euclid_width)
 
 
 @lru_cache(maxsize=4)
 def sharded_trace_bundle(
     abbr: str,
     queries: int | None = None,
-    euclid_width: int = 16,
+    euclid_width: int = EUCLID_WIDTH,
     scale: float = 1.0,
     shards: int = 1,
     shard: int = 0,
@@ -239,7 +241,7 @@ def sharded_trace_bundle(
     run = run_bvhnn_sharded(
         abbr, num_queries=count, scale=scale, shards=shards, shard=shard
     )
-    return to_traces(run, widths=HsuWidths(euclid=euclid_width))
+    return to_traces(run, euclid_width=euclid_width)
 
 
 @lru_cache(maxsize=256)
@@ -266,7 +268,7 @@ def simulate(
     cache: str | None = None,
     queries: int | None = None,
     warp_buffer: int = 8,
-    euclid_width: int = 16,
+    euclid_width: int = EUCLID_WIDTH,
     scheduler: str = "gto",
     memory: str = "real",
     scale: float = 1.0,
@@ -319,6 +321,7 @@ def simulate(
         variant=variant,
         config=config,
         cache=cache,
+        euclid_width=euclid_width,
         scale=scale,
         shards=shards,
         shard=shard,
@@ -337,9 +340,7 @@ def simulate(
             )
             return _simulate_trace(kernel, variant, config, label)
         if isinstance(workload, WorkloadRun):
-            bundle = to_traces(
-                workload, widths=HsuWidths(euclid=euclid_width)
-            )
+            bundle = to_traces(workload, euclid_width=euclid_width)
             kernel = bundle.baseline if variant == "baseline" else bundle.hsu
             if label is None:
                 label = ("adhoc", workload.name)

@@ -22,7 +22,13 @@ import math
 from dataclasses import dataclass
 
 from repro.compiler.ops import METRIC_ANGULAR, METRIC_EUCLID, WarpOp
-from repro.core.isa import KEY_COMPARE_WIDTH, Opcode
+from repro.core.isa import (
+    EUCLID_WIDTH,
+    KEY_COMPARE_WIDTH,
+    Opcode,
+    angular_width,
+)
+from repro.core.multibeat import beat_count
 from repro.errors import TraceError
 from repro.gpusim.trace import (
     KIND_ALU,
@@ -106,33 +112,6 @@ class CostModel:
     keycmp_chain: int = 4
 
 
-@dataclass(frozen=True)
-class HsuWidths:
-    """Datapath widths the HSU lowering targets (Fig. 10 sweeps these)."""
-
-    euclid: int = 16
-
-    @property
-    def angular(self) -> int:
-        return max(1, self.euclid // 2)
-
-
-def _dist_beats(dim: int, metric: str, widths: HsuWidths) -> tuple[int, int]:
-    """(beats, bytes_per_beat) for one distance instruction chain.
-
-    The chain fetches exactly the candidate's ``dim * 4`` bytes; the last
-    beat's lanes beyond ``dim`` are disabled, not fetched.
-    """
-    if metric == METRIC_EUCLID:
-        width = widths.euclid
-    elif metric == METRIC_ANGULAR:
-        width = widths.angular
-    else:
-        raise TraceError(f"unknown metric {metric!r}")
-    beats = math.ceil(dim / width)
-    return beats, math.ceil(dim * 4 / beats)
-
-
 def lower_baseline(
     warp_ops: list[WarpOp],
     style: str,
@@ -206,28 +185,36 @@ def lower_hsu(
     warp_ops: list[WarpOp],
     style: str,
     cost: CostModel | None = None,
-    widths: HsuWidths | None = None,
+    euclid_width: int = EUCLID_WIDTH,
     label: str = "",
 ) -> WarpTrace:
-    """Replace HSU-able ops with HSU CISC instructions (Table I)."""
+    """Replace HSU-able ops with HSU CISC instructions (Table I).
+
+    ``euclid_width`` is the Euclidean datapath width (Fig. 10 sweeps it);
+    the angular mode runs at :func:`~repro.core.isa.angular_width` of it.
+    A distance chain fetches exactly the candidate's ``dim * 4`` bytes,
+    split evenly over its beats; the last beat's lanes beyond ``dim`` are
+    disabled, not fetched.
+    """
     cost = cost if cost is not None else CostModel()
-    widths = widths if widths is not None else HsuWidths()
+    dist_modes = {
+        METRIC_EUCLID: (Opcode.POINT_EUCLID, euclid_width),
+        METRIC_ANGULAR: (Opcode.POINT_ANGULAR, angular_width(euclid_width)),
+    }
     trace = WarpTrace(label=label)
     emit = trace.append
     for op in warp_ops:
         if op.kind == "TDist":
-            beats, beat_bytes = _dist_beats(op.a, op.meta, widths)
-            opcode = (
-                Opcode.POINT_ANGULAR
-                if op.meta == METRIC_ANGULAR
-                else Opcode.POINT_EUCLID
-            )
+            if op.meta not in dist_modes:
+                raise TraceError(f"unknown metric {op.meta!r}")
+            opcode, width = dist_modes[op.meta]
+            beats = beat_count(op.a, width)
             emit(
                 WarpInstr(
                     KIND_HSU,
                     active=len(op.addrs),
                     addrs=op.addrs,
-                    bytes_per_thread=beat_bytes,
+                    bytes_per_thread=math.ceil(op.a * 4 / beats),
                     opcode=opcode,
                     beats=beats,
                 )
@@ -264,7 +251,7 @@ def lower_hsu(
                 )
             )
         elif op.kind == "TKeyCmp":
-            beats = math.ceil(op.a / KEY_COMPARE_WIDTH)
+            beats = beat_count(op.a, KEY_COMPARE_WIDTH)
             emit(
                 WarpInstr(
                     KIND_HSU,

@@ -1,27 +1,26 @@
 """The Hierarchical Search Unit (HSU) — the paper's primary contribution.
 
-This package models the HSU at two levels:
+This package holds the one definition of the HSU datapath:
 
-* **Functional** — :mod:`~repro.core.ops` implements the exact semantics of
-  the four instructions in Table I (``RAY_INTERSECT``, ``POINT_EUCLID``,
-  ``POINT_ANGULAR``, ``KEY_COMPARE``), including the multi-beat accumulation
-  scheme of §IV-F (:mod:`~repro.core.multibeat`).
-* **Microarchitectural** — :mod:`~repro.core.pipeline` is a cycle-by-cycle
-  model of the unified single-lane 9-stage datapath (Fig. 5), with the
-  per-stage functional-unit allocation of Fig. 6 encoded in
-  :mod:`~repro.core.modes`.
+* **Instructions** — :mod:`~repro.core.isa` lists the four instructions of
+  Table I (``RAY_INTERSECT``, ``POINT_EUCLID``, ``POINT_ANGULAR``,
+  ``KEY_COMPARE``) and the datapath widths (16-wide Euclidean, 8-wide
+  angular, 36-key compare).
+* **Beats** — :mod:`~repro.core.multibeat` holds ``ceil(dim / width)``, the
+  multi-beat accumulation scheme of §IV-F.
+* **Datapath** — :mod:`~repro.core.modes` holds the pipeline depth and the
+  per-stage functional-unit allocation of Fig. 6 for the unified
+  single-lane 9-stage datapath (Fig. 5).
+* **Semantics** — :mod:`~repro.core.ops` gives the instructions their exact
+  functional results.
 
-The GPU timing simulator (:mod:`repro.gpusim`) treats the datapath as a
-resource with the occupancy rules this package defines; the RTL cost model
-(:mod:`repro.rtl`) prices the functional-unit table defined here.
+The lowering (:mod:`repro.compiler.lowering`) counts each instruction's
+beats from these widths, the GPU timing model (:mod:`repro.gpusim.rtunit`)
+holds the datapath for ``active x beats`` cycles plus the pipeline depth,
+and the RTL cost model (:mod:`repro.rtl`) prices the Fig. 6 table.
 """
 
-from repro.core.isa import (
-    HsuInstruction,
-    Opcode,
-    describe_instruction,
-    instruction_table,
-)
+from repro.core.isa import Opcode, instruction_table
 from repro.core.modes import (
     FuKind,
     OperatingMode,
@@ -30,7 +29,7 @@ from repro.core.modes import (
     fu_requirements,
     stage_maxima,
 )
-from repro.core.multibeat import Beat, plan_beats
+from repro.core.multibeat import beat_count
 from repro.core.ops import (
     angular_dist,
     angular_distance_from_sums,
@@ -38,26 +37,20 @@ from repro.core.ops import (
     key_compare,
     key_compare_child_index,
 )
-from repro.core.pipeline import DatapathPipeline, PipelineOp
 
 __all__ = [
-    "Beat",
-    "DatapathPipeline",
     "FuKind",
-    "HsuInstruction",
     "Opcode",
     "OperatingMode",
     "PIPELINE_DEPTH",
-    "PipelineOp",
     "additional_fus_for_hsu",
     "angular_dist",
     "angular_distance_from_sums",
-    "describe_instruction",
+    "beat_count",
     "euclid_dist",
     "fu_requirements",
     "instruction_table",
     "key_compare",
     "key_compare_child_index",
-    "plan_beats",
     "stage_maxima",
 ]

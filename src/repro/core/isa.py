@@ -1,30 +1,54 @@
-"""The HSU instruction set (Table I).
+"""The HSU instruction set (Table I) and the datapath widths.
 
 The HSU extends the baseline RT unit ISA with three instructions while
 keeping the baseline ``RAY_INTERSECT`` unchanged, so existing ray-tracing
 software runs unmodified (§III-B, §VI-G).
 
-Instructions here are *architectural* objects: opcode plus the operands that
-cross the register file.  The timing simulator carries them inside warp
-traces; the functional layer (:mod:`repro.core.ops`) gives them semantics.
+The lowering (:mod:`repro.compiler.lowering`) emits these opcodes into warp
+traces, counting each one's beats with
+:func:`~repro.core.multibeat.beat_count` over the widths defined here; the
+functional layer (:mod:`repro.core.ops`) gives them semantics.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 
-from repro.errors import IsaError
+from repro.errors import ConfigError
 
 #: Native lane width of the Euclidean operating mode (§IV-C).
 EUCLID_WIDTH = 16
-#: Native lane width of the angular operating mode — half of Euclidean,
-#: because the mode computes two reductions (dot and norm) at once (§VI-H).
-ANGULAR_WIDTH = 8
 #: Maximum separator values a single KEY_COMPARE can test (§IV-E).
 KEY_COMPARE_WIDTH = 36
 #: Maximum ray-box tests per RAY_INTERSECT (BVH4 node, §IV-D).
 MAX_BOX_TESTS = 4
+
+
+def check_euclid_width(width: int) -> int:
+    """``width`` if it can be the Euclidean datapath width, else ConfigError.
+
+    The angular mode runs at half of it (:func:`angular_width`), so the
+    width must be a positive even integer.  Every width knob (a campaign
+    job, ``repro.api.simulate``, the lowering) goes through this check.
+    """
+    if not isinstance(width, int) or width < 2 or width % 2:
+        raise ConfigError(
+            f"euclid_width must be a positive even number, got {width!r}"
+        )
+    return width
+
+
+def angular_width(euclid_width: int) -> int:
+    """Native lane width of the angular mode on a ``euclid_width`` datapath.
+
+    Half of Euclidean, because the mode computes two reductions (dot and
+    norm) at once (§VI-H).
+    """
+    return check_euclid_width(euclid_width) // 2
+
+
+#: Native lane width of the angular operating mode.
+ANGULAR_WIDTH = angular_width(EUCLID_WIDTH)
 
 
 class Opcode(enum.Enum):
@@ -34,26 +58,6 @@ class Opcode(enum.Enum):
     POINT_EUCLID = "POINT_EUCLID"
     POINT_ANGULAR = "POINT_ANGULAR"
     KEY_COMPARE = "KEY_COMPARE"
-
-    @property
-    def is_baseline(self) -> bool:
-        """True for instructions the baseline RT unit already supports."""
-        return self is Opcode.RAY_INTERSECT
-
-    @property
-    def is_distance(self) -> bool:
-        return self in (Opcode.POINT_EUCLID, Opcode.POINT_ANGULAR)
-
-    @property
-    def native_width(self) -> int:
-        """Lanes processed per beat (0 when width is not meaningful)."""
-        if self is Opcode.POINT_EUCLID:
-            return EUCLID_WIDTH
-        if self is Opcode.POINT_ANGULAR:
-            return ANGULAR_WIDTH
-        if self is Opcode.KEY_COMPARE:
-            return KEY_COMPARE_WIDTH
-        return 0
 
 
 #: Table I, verbatim-in-spirit descriptions keyed by opcode.
@@ -84,54 +88,6 @@ _DESCRIPTIONS: dict[Opcode, str] = {
 }
 
 
-def describe_instruction(opcode: Opcode) -> str:
-    """The Table I description for ``opcode``."""
-    return _DESCRIPTIONS[opcode]
-
-
 def instruction_table() -> list[tuple[str, str]]:
     """(name, description) rows reproducing Table I."""
     return [(op.value, _DESCRIPTIONS[op]) for op in Opcode]
-
-
-@dataclass(frozen=True)
-class HsuInstruction:
-    """One architectural HSU instruction for a single thread.
-
-    ``node_addr`` is the memory address the unit fetches operand data from
-    (BVH node, candidate point beat, or separator block).  ``accumulate``
-    implements §IV-F: when set, the datapath folds this beat's result into
-    the accumulator instead of writing the result buffer.
-    """
-
-    opcode: Opcode
-    node_addr: int
-    fetch_bytes: int
-    accumulate: bool = False
-    #: For distance ops: number of valid lanes in this beat (<= native width).
-    lanes: int = 0
-    #: For KEY_COMPARE: number of separator values in the node.
-    num_separators: int = 0
-    #: Free-form tag used by tests and debugging (e.g. candidate id).
-    tag: int = field(default=-1, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.fetch_bytes < 0:
-            raise IsaError("fetch_bytes must be non-negative")
-        if self.accumulate and not self.opcode.is_distance:
-            raise IsaError(
-                f"accumulate bit is only defined for distance instructions, "
-                f"not {self.opcode.value}"
-            )
-        if self.opcode.is_distance:
-            width = self.opcode.native_width
-            if not 1 <= self.lanes <= width:
-                raise IsaError(
-                    f"{self.opcode.value} lanes={self.lanes} outside [1, {width}]"
-                )
-        if self.opcode is Opcode.KEY_COMPARE:
-            if not 1 <= self.num_separators <= KEY_COMPARE_WIDTH:
-                raise IsaError(
-                    f"KEY_COMPARE num_separators={self.num_separators} "
-                    f"outside [1, {KEY_COMPARE_WIDTH}]"
-                )

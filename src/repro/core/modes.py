@@ -31,7 +31,10 @@ import enum
 
 from repro.errors import ConfigError
 
-#: Depth of the unified datapath pipeline (§IV-B).
+#: Depth of the unified datapath pipeline (§IV-B): the cycles from a
+#: thread-beat's issue to its result, which the timing model
+#: (:mod:`repro.gpusim.rtunit`) adds to every HSU instruction and the RTL
+#: cost model (:mod:`repro.rtl`) prices as pipeline registers.
 PIPELINE_DEPTH = 9
 
 
@@ -43,10 +46,6 @@ class OperatingMode(enum.Enum):
     EUCLID = "euclid"
     ANGULAR = "angular"
     KEY_COMPARE = "key_compare"
-
-    @property
-    def is_baseline(self) -> bool:
-        return self in (OperatingMode.RAY_BOX, OperatingMode.RAY_TRI)
 
 
 class FuKind(enum.Enum):

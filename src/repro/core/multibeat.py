@@ -10,40 +10,18 @@ final (accumulate=0) beat retires.
 The paper's example: an angular test on a 65-dimensional point emits
 ``ceil(65/8) = 9`` instructions — 8 with the accumulate bit set, then one
 without.
+
+:func:`beat_count` is the one beat formula: the lowering charges the timing
+model with it, and :func:`iter_beat_slices` walks the same beats for the
+functional kernels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
-import numpy as np
-
 from repro.errors import IsaError
-
-
-def _f32(value: float) -> np.float32:
-    return np.float32(value)
-
-
-@dataclass(frozen=True)
-class Beat:
-    """One beat of a multi-beat distance computation.
-
-    ``lo``/``hi`` delimit the coordinate slice ``[lo, hi)`` this beat
-    consumes; ``accumulate`` is the instruction's accumulate operand bit —
-    set on every beat except the last.
-    """
-
-    index: int
-    lo: int
-    hi: int
-    accumulate: bool
-
-    @property
-    def lanes(self) -> int:
-        return self.hi - self.lo
 
 
 def beat_count(dim: int, width: int) -> int:
@@ -55,65 +33,8 @@ def beat_count(dim: int, width: int) -> int:
     return math.ceil(dim / width)
 
 
-def plan_beats(dim: int, width: int) -> list[Beat]:
-    """The beat sequence the compiler emits for one distance computation."""
-    beats = beat_count(dim, width)
-    plan = []
-    for index in range(beats):
+def iter_beat_slices(dim: int, width: int) -> Iterator[tuple[int, int]]:
+    """Yield the coordinate slice ``(lo, hi)`` each beat consumes."""
+    for index in range(beat_count(dim, width)):
         lo = index * width
-        hi = min(lo + width, dim)
-        plan.append(Beat(index, lo, hi, accumulate=index < beats - 1))
-    return plan
-
-
-def iter_beat_slices(dim: int, width: int) -> Iterator[tuple[int, int, bool]]:
-    """Yield ``(lo, hi, accumulate)`` per beat without materializing a list."""
-    for beat in plan_beats(dim, width):
-        yield beat.lo, beat.hi, beat.accumulate
-
-
-class Accumulator:
-    """The datapath's accumulator register pair.
-
-    Euclidean mode uses one running sum; angular mode uses two (dot and
-    norm).  The hardware guarantees no other warp's instruction interleaves
-    with an in-flight accumulate chain (§IV-F); :meth:`fold` enforces the
-    matching software invariant by rejecting interleaved chains via owner
-    tags.
-    """
-
-    def __init__(self) -> None:
-        # Sums are kept in float32, matching the datapath's fp32 adders.
-        self._sum0 = _f32(0.0)
-        self._sum1 = _f32(0.0)
-        self._owner: int | None = None
-
-    @property
-    def busy(self) -> bool:
-        """True while an accumulate chain is in flight."""
-        return self._owner is not None
-
-    def fold(
-        self, owner: int, value0: float, value1: float, accumulate: bool
-    ) -> tuple[float, float] | None:
-        """Fold one beat's partial sums.
-
-        Returns the final ``(sum0, sum1)`` when ``accumulate`` is clear (the
-        chain completes), else ``None``.  Raises :class:`IsaError` if a
-        different owner's beat arrives mid-chain — the hardware ordering
-        violation the sub-core arbiter exists to prevent.
-        """
-        if self._owner is not None and self._owner != owner:
-            raise IsaError(
-                f"accumulate chain owned by {self._owner} interleaved by {owner}"
-            )
-        self._sum0 = _f32(self._sum0 + _f32(value0))
-        self._sum1 = _f32(self._sum1 + _f32(value1))
-        if accumulate:
-            self._owner = owner
-            return None
-        result = (float(self._sum0), float(self._sum1))
-        self._sum0 = _f32(0.0)
-        self._sum1 = _f32(0.0)
-        self._owner = None
-        return result
+        yield lo, min(lo + width, dim)

@@ -2,10 +2,12 @@
 
 These are the operations the paper exposes to CUDA programmers as device
 intrinsics (§III-B): ``__euclid_dist(a, b, N)`` and ``__angular_dist(a, b,
-N)``, plus the key-compare and ray-intersect primitives.  The distance
-functions honor the hardware's beat structure — partial sums are formed per
-beat in float32 and accumulated in float32, exactly as the datapath would —
-so results bit-match what the pipeline model produces.
+N)``, plus the key-compare primitive (the ray-intersect tests live in
+:mod:`repro.geometry`).  The distance
+functions honor the hardware's beat structure
+(:func:`~repro.core.multibeat.iter_beat_slices`): partial sums are formed
+per beat in float32 and accumulated in float32, in the order the datapath's
+fp32 adder tree and accumulator use (§IV-F).
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ def euclid_dist(
     if q.shape != c.shape:
         raise IsaError(f"dimension mismatch: {q.shape} vs {c.shape}")
     total = np.float32(0.0)
-    for lo, hi, _accumulate in iter_beat_slices(q.size, width):
+    for lo, hi in iter_beat_slices(q.size, width):
         diff = q[lo:hi] - c[lo:hi]
         partial = np.float32(np.sum(diff * diff, dtype=np.float32))
         total = np.float32(total + partial)
@@ -126,7 +128,7 @@ def angular_dist(
         raise IsaError(f"dimension mismatch: {q.shape} vs {c.shape}")
     dot_sum = np.float32(0.0)
     norm_sum = np.float32(0.0)
-    for lo, hi, _accumulate in iter_beat_slices(q.size, width):
+    for lo, hi in iter_beat_slices(q.size, width):
         dot_sum = np.float32(
             dot_sum + np.float32(np.sum(c[lo:hi] * q[lo:hi], dtype=np.float32))
         )

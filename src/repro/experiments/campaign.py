@@ -56,6 +56,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.isa import EUCLID_WIDTH, check_euclid_width
 from repro.errors import ConfigError
 from repro.gpusim import GpuConfig, GpuSimulator, engine
 from repro.gpusim.observability import (
@@ -174,7 +175,8 @@ class Job:
     abbr: str
     variant: str  # "baseline" | "hsu"
     warp_buffer: int = 8
-    euclid_width: int = 16
+    #: HSU datapath width the trace is lowered for (the Fig. 10 axis).
+    euclid_width: int = EUCLID_WIDTH
     #: Override the family's default query count (smoke/test campaigns).
     queries: int | None = None
     #: Warp-scheduler policy and memory model (the ablation-family axes);
@@ -203,6 +205,7 @@ class Job:
             )
         if self.scale <= 0:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
+        check_euclid_width(self.euclid_width)
         if self.metric != "euclid":
             from repro.metrics.transforms import validate_metric
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from repro import api
 from repro.analysis.tables import format_table
+from repro.core.isa import angular_width
 from repro.experiments.common import datasets_for
 
 #: Widths swept (Euclidean lanes; angular = half).
@@ -35,7 +36,7 @@ def compute(
                 {
                     "dataset": abbr,
                     "euclid_width": width,
-                    "angular_width": width // 2,
+                    "angular_width": angular_width(width),
                     "speedup": base.cycles / hsu.cycles,
                 }
             )

@@ -10,7 +10,6 @@ comparison isolates the data representation.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.compiler.lowering import HsuWidths
 from repro import api
 from repro.experiments.common import default_config
 from repro.workloads.base import to_traces
@@ -25,14 +24,13 @@ def compute(num_keys: int = 8192, num_lookups: int = 2048) -> dict[str, object]:
         num_keys=num_keys, num_lookups=num_lookups
     )
     config = default_config()
-    widths = HsuWidths()
     abbr = f"K{num_keys}"
     triangle_stats = api.simulate(
-        to_traces(triangle_run, widths=widths).hsu,
+        to_traces(triangle_run).hsu,
         variant="triangle-keys", config=config, label=("rtindex", abbr),
     )
     point_stats = api.simulate(
-        to_traces(point_run, widths=widths).hsu,
+        to_traces(point_run).hsu,
         variant="point-keys", config=config, label=("rtindex", abbr),
     )
     return {

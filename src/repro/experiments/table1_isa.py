@@ -3,7 +3,7 @@
 Reproduces the paper's four-instruction ISA: the baseline ``RAY_INTERSECT``
 plus the three HSU additions ``POINT_EUCLID``, ``POINT_ANGULAR`` and
 ``KEY_COMPARE``, with the paper's datapath widths (16-wide Euclidean,
-8-wide angular, 36-byte key compare, 4-box intersect).  The claim checked:
+8-wide angular, 36-key compare, 4-box intersect).  The claim checked:
 hierarchical search generalizes to exactly these four primitive
 comparisons (§IV-A).
 """

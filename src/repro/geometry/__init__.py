@@ -14,11 +14,7 @@ unit operates on:
 """
 
 from repro.geometry.aabb import Aabb
-from repro.geometry.intersect_box import (
-    BoxHit,
-    intersect_ray_box,
-    intersect_ray_box4,
-)
+from repro.geometry.intersect_box import BoxHit, intersect_ray_box
 from repro.geometry.intersect_tri import TriangleHit, intersect_ray_triangle
 from repro.geometry.morton import (
     morton_decode3,
@@ -37,7 +33,6 @@ __all__ = [
     "TriangleHit",
     "Vec3",
     "intersect_ray_box",
-    "intersect_ray_box4",
     "intersect_ray_triangle",
     "morton_decode3",
     "morton_encode3",

@@ -1,9 +1,9 @@
-"""Slab-method ray/AABB intersection, scalar and 4-wide.
+"""Slab-method ray/AABB intersection.
 
 The baseline RT unit performs *up to four ray-box intersection tests* per
 ``RAY_INTERSECT`` instruction and sorts the hits by entry distance (§IV-B,
-§IV-D).  The 4-wide form below is the functional model of that hardware; the
-scalar form is the reference the tests check it against.
+§IV-D); the BVH traversal (:mod:`repro.bvh.traversal`) applies this test
+per child box and sorts the hits the same way.
 
 The algorithm is the classic slab test (Kay & Kajiya 1986): intersect the
 ray's parametric interval with the three per-axis slabs and report a hit when
@@ -13,7 +13,6 @@ the intersection is non-empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.geometry.aabb import Aabb
 from repro.geometry.ray import Ray
@@ -30,15 +29,10 @@ class BoxHit:
     hit: bool
     t_entry: float
     t_exit: float
-    child_index: int = -1
 
 
 def intersect_ray_box(ray: Ray, box: Aabb) -> BoxHit:
-    """Scalar slab test of ``ray`` against ``box``."""
-    return _slab_test(ray, box)
-
-
-def _slab_test(ray: Ray, box: Aabb) -> BoxHit:
+    """Slab test of ``ray`` against ``box``."""
     t_lo = ray.t_min
     t_hi = ray.t_max
     for lo, hi, origin, inv in zip(
@@ -56,30 +50,3 @@ def _slab_test(ray: Ray, box: Aabb) -> BoxHit:
         if t_lo > t_hi:
             return BoxHit(False, t_lo, t_hi)
     return BoxHit(True, t_lo, t_hi)
-
-
-def intersect_ray_box4(
-    ray: Ray, boxes: Sequence[Aabb], child_indices: Sequence[int] | None = None
-) -> list[BoxHit]:
-    """Test ``ray`` against up to four boxes and sort hits closest-first.
-
-    Mirrors the box-node path of ``RAY_INTERSECT``: the result list contains
-    one entry per input box, hits first in ascending ``t_entry`` order, then
-    misses (the hardware returns null child pointers for misses).
-
-    Raises ``ValueError`` when more than four boxes are supplied, matching the
-    BVH4 limit of the hardware.
-    """
-    if len(boxes) > 4:
-        raise ValueError(f"RAY_INTERSECT tests at most 4 boxes, got {len(boxes)}")
-    if child_indices is None:
-        child_indices = list(range(len(boxes)))
-    if len(child_indices) != len(boxes):
-        raise ValueError("child_indices must match boxes in length")
-    results = []
-    for box, child in zip(boxes, child_indices):
-        hit = _slab_test(ray, box)
-        results.append(BoxHit(hit.hit, hit.t_entry, hit.t_exit, child))
-    # Sort: hits by ascending entry distance, misses last (stable).
-    results.sort(key=lambda h: (not h.hit, h.t_entry))
-    return results

@@ -14,6 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, replace
 
+from repro.core.isa import ANGULAR_WIDTH, EUCLID_WIDTH
 from repro.errors import ConfigError
 
 #: Valid ``GpuConfig.scheduler`` policy names.  The classes live in
@@ -45,10 +46,6 @@ class GpuConfig:
     l2_size_bytes: int = 6 * 1024 * 1024
     l2_ways: int = 24
     line_bytes: int = 128
-
-    # HSU datapath (§IV-C, §VI-H).
-    euclid_width: int = 16
-    pipeline_depth: int = 9
 
     # §VI-I design alternatives for RT-unit/LSU cache contention: "a
     # private cache dedicated to the RT unit could be used, or a method of
@@ -95,8 +92,6 @@ class GpuConfig:
             raise ConfigError("num_sms must be >= 1")
         if self.warp_buffer_size < 1:
             raise ConfigError("warp_buffer_size must be >= 1")
-        if self.euclid_width < 1 or self.euclid_width % 2:
-            raise ConfigError("euclid_width must be a positive even number")
         if self.line_bytes & (self.line_bytes - 1):
             raise ConfigError("line_bytes must be a power of two")
         if self.scheduler not in SCHEDULER_POLICIES:
@@ -121,11 +116,6 @@ class GpuConfig:
         """Cycles between DRAM line transfers for this config's share."""
         share = self.dram_total_lines_per_cycle * self.num_sms / self.full_chip_sms
         return 1.0 / share
-
-    @property
-    def angular_width(self) -> int:
-        """Angular mode runs at half the Euclidean width (§VI-H)."""
-        return self.euclid_width // 2
 
     @property
     def l1_sets(self) -> int:
@@ -158,10 +148,6 @@ class GpuConfig:
         """Config variant for the Fig. 11 warp-buffer sweep."""
         return replace(self, warp_buffer_size=entries)
 
-    def with_euclid_width(self, width: int) -> "GpuConfig":
-        """Config variant for the Fig. 10 datapath-width sweep."""
-        return replace(self, euclid_width=width)
-
     def with_rt_bypass(self) -> "GpuConfig":
         """RT-unit fetches skip the L1 and go straight to the L2 (§VI-I)."""
         return replace(self, rt_fetch_bypass_l1=True, rt_private_cache_bytes=0)
@@ -189,7 +175,7 @@ class GpuConfig:
         ``GpuConfig`` (both hash ``json.dumps(asdict, sort_keys=True)``),
         but computable without the observability layer.  The campaign
         cache uses it as the config component of its keys: any field
-        change — warp buffer, datapath width, fetch path, latencies —
+        change — warp buffer, fetch path, latencies —
         produces a different hash and therefore a cache miss.
         """
         fields = dataclasses.asdict(self)
@@ -211,7 +197,9 @@ class GpuConfig:
                 f"{self.l2_ways}-way {self.l2_size_bytes // (1024 * 1024)}MB",
             ),
             ("Cache Line", f"{self.line_bytes} B"),
-            ("HSU Euclid / Angular Width", f"{self.euclid_width} / {self.angular_width}"),
+            # The widths shape the lowered trace, not the config (Fig. 10
+            # sweeps them through the lowering); Table III lists the design's.
+            ("HSU Euclid / Angular Width", f"{EUCLID_WIDTH} / {ANGULAR_WIDTH}"),
         ]
 
 

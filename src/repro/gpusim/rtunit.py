@@ -7,10 +7,12 @@ LSU); once every active thread's data has arrived, the entry is scheduled to
 the single-lane datapath, which consumes one thread-beat per cycle and
 retires results :data:`~repro.core.modes.PIPELINE_DEPTH` stages later.
 
-Multi-beat chains (§IV-F) arrive as a single instruction record with
-``beats > 1``; the chain occupies the datapath for ``active * beats``
-consecutive cycles, which is exactly the atomicity the accumulate-bit
-arbiter lock enforces in hardware.
+A multi-beat chain (§IV-F) is one instruction record whose ``beats`` the
+lowering counts with :func:`~repro.core.multibeat.beat_count`; the record
+holds the datapath for ``active * beats`` consecutive cycles, so no other
+warp's beat can interleave with the chain.  On an idle unit an instruction's
+result is ready at fetch completion + ``active * beats`` +
+``PIPELINE_DEPTH``.
 
 Occupancy is modeled with the shared resource primitives: the warp buffer
 is a :class:`~repro.gpusim.resource.SlotPool` (bounded entries, freed at
@@ -22,6 +24,7 @@ order).
 
 from __future__ import annotations
 
+from repro.core.modes import PIPELINE_DEPTH
 from repro.gpusim.cache import Cache
 from repro.gpusim.config import GpuConfig
 from repro.gpusim.resource import PipelinedLane, SlotPool
@@ -33,7 +36,7 @@ def hsu_coalesced_lines(instr: WarpInstr, line_bytes: int) -> list[int]:
 
     Duplicate lines across threads merge into one request in the memory
     access FIFO — the CISC coalescing behind Fig. 12.  Module-level so the
-    batched engine's trace packer can precompute the set once at ingest.
+    engine's trace packer can precompute the set once at ingest.
     """
     total_bytes = max(1, instr.beats * instr.bytes_per_thread)
     lines = set()
@@ -131,9 +134,9 @@ class RtUnit:
         """:meth:`execute` with the line set and beat count precomputed.
 
         ``lines`` is the sorted coalesced line list
-        (:meth:`coalesced_lines`), ``busy`` the datapath occupancy
-        (``active * beats``).  The batched engine's HSU path: identical
-        semantics to :meth:`execute`, minus the per-call set rebuild.
+        (:func:`hsu_coalesced_lines`), ``busy`` the datapath occupancy
+        (``active * beats``).  The engine's HSU path: identical semantics
+        to :meth:`execute`, minus the per-call set rebuild.
         """
         # Warp buffer admission: wait for a free entry when full.
         dispatch = self._buffer.acquire(issue_time)
@@ -156,7 +159,7 @@ class RtUnit:
         self.stats.fetch_line_accesses += len(lines)
         # Single-lane datapath: one thread-beat per cycle.
         pipe_start = self._pipe.allocate(fetch_done, busy)
-        pipe_end = pipe_start + busy + self.config.pipeline_depth
+        pipe_end = pipe_start + busy + PIPELINE_DEPTH
         # "After all of the active threads within the warp buffer entry have
         # been issued to the datapath pipeline the warp buffer entry is
         # cleared" (§IV-B) — the entry frees at issue completion, not

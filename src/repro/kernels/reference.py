@@ -54,7 +54,7 @@ class ReferenceBackend:
         beats accumulate in float32 (the datapath's §IV-F semantics).
         """
         total = np.zeros(block.shape[0], dtype=np.float32)
-        for lo, hi, _accumulate in iter_beat_slices(q.size, width):
+        for lo, hi in iter_beat_slices(q.size, width):
             diff = q[lo:hi] - block[:, lo:hi]
             total = total + np.sum(diff * diff, axis=1, dtype=np.float32)
         return total
@@ -68,7 +68,7 @@ class ReferenceBackend:
         merged-pool form the batched engines use.
         """
         total = np.zeros(qrows.shape[0], dtype=np.float32)
-        for lo, hi, _accumulate in iter_beat_slices(qrows.shape[1], width):
+        for lo, hi in iter_beat_slices(qrows.shape[1], width):
             diff = qrows[:, lo:hi] - crows[:, lo:hi]
             total = total + np.sum(diff * diff, axis=1, dtype=np.float32)
         return total
@@ -84,7 +84,7 @@ class ReferenceBackend:
         datapath's summation semantics with the Euclidean kernel.
         """
         total = np.zeros(block.shape[0], dtype=np.float32)
-        for lo, hi, _accumulate in iter_beat_slices(q.size, width):
+        for lo, hi in iter_beat_slices(q.size, width):
             diff = np.abs(q[lo:hi] - block[:, lo:hi])
             total = total + np.sum(diff, axis=1, dtype=np.float32)
         return total
@@ -95,7 +95,7 @@ class ReferenceBackend:
         """Per-row L1 distance between paired float32 row blocks
         (the merged-pool twin of :meth:`l1_beats`)."""
         total = np.zeros(qrows.shape[0], dtype=np.float32)
-        for lo, hi, _accumulate in iter_beat_slices(qrows.shape[1], width):
+        for lo, hi in iter_beat_slices(qrows.shape[1], width):
             diff = np.abs(qrows[:, lo:hi] - crows[:, lo:hi])
             total = total + np.sum(diff, axis=1, dtype=np.float32)
         return total
@@ -110,7 +110,7 @@ class ReferenceBackend:
         bit regardless of ``width``.
         """
         total = np.zeros(block.shape[0], dtype=np.float32)
-        for lo, hi, _accumulate in iter_beat_slices(q.size, width):
+        for lo, hi in iter_beat_slices(q.size, width):
             diff = np.abs(q[lo:hi] - block[:, lo:hi])
             total = np.maximum(total, np.max(diff, axis=1))
         return total
@@ -121,7 +121,7 @@ class ReferenceBackend:
         """Per-row L-infinity distance between paired float32 row blocks
         (the merged-pool twin of :meth:`linf_beats`)."""
         total = np.zeros(qrows.shape[0], dtype=np.float32)
-        for lo, hi, _accumulate in iter_beat_slices(qrows.shape[1], width):
+        for lo, hi in iter_beat_slices(qrows.shape[1], width):
             diff = np.abs(qrows[:, lo:hi] - crows[:, lo:hi])
             total = np.maximum(total, np.max(diff, axis=1))
         return total

@@ -5,13 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.compiler.lowering import (
-    CostModel,
-    HsuWidths,
-    lower_baseline,
-    lower_hsu,
-)
+from repro.compiler.lowering import CostModel, lower_baseline, lower_hsu
 from repro.compiler.ops import WarpOp
+from repro.core.isa import EUCLID_WIDTH
 from repro.errors import TraceError
 from repro.gpusim.trace import KernelTrace
 
@@ -47,9 +43,12 @@ class TraceBundle:
 def to_traces(
     run: WorkloadRun,
     cost: CostModel | None = None,
-    widths: HsuWidths | None = None,
+    euclid_width: int = EUCLID_WIDTH,
 ) -> TraceBundle:
-    """Lower a workload run into its baseline and HSU kernel traces."""
+    """Lower a workload run into its baseline and HSU kernel traces.
+
+    ``euclid_width`` is the HSU datapath width :func:`lower_hsu` targets.
+    """
     baseline = KernelTrace(name=f"{run.name}-baseline")
     hsu = KernelTrace(name=f"{run.name}-hsu")
     for index, ops in enumerate(run.warp_ops):
@@ -58,6 +57,9 @@ def to_traces(
             lower_baseline(ops, run.style, cost=cost, label=label)
         )
         hsu.warps.append(
-            lower_hsu(ops, run.style, cost=cost, widths=widths, label=label)
+            lower_hsu(
+                ops, run.style, cost=cost, euclid_width=euclid_width,
+                label=label,
+            )
         )
     return TraceBundle(baseline=baseline, hsu=hsu)

@@ -1,19 +1,24 @@
 """Regenerate the committed simulator goldens (``gpusim_smoke.json``).
 
 The golden file pins the exact :class:`~repro.gpusim.stats.SimStats` the
-simulator produces on the recorded smoke-campaign workloads (BVH-NN R10K,
-B+Tree B+10K and FLANN R10K at 64 queries, baseline + HSU variants).  The
-refactor-guard test ``tests/test_gpusim_scheduler.py`` asserts the live
-simulator — GTO scheduler + real memory system — reproduces these values
-bit-exactly, so any timing-model change shows up as a diff of this file
-rather than as silent drift.
+simulator produces on the recorded smoke-campaign workloads plus GGNN
+(BVH-NN R10K, B+Tree B+10K, FLANN R10K and GGNN S10K at 64 queries,
+baseline + HSU variants).  The refactor-guard test
+``tests/test_gpusim_scheduler.py`` asserts the live simulator — GTO
+scheduler + real memory system — reproduces these values bit-exactly, so
+any timing-model change shows up as a diff of this file rather than as
+silent drift.
 
-Regenerate (and eyeball the diff!) after an *intentional* timing change::
+Regenerate (and eyeball the diff!) after an *intentional* change::
 
     PYTHONPATH=src python tests/goldens/regen.py
 
-A regeneration must always be accompanied by a ``CACHE_SCHEMA_VERSION``
-bump in ``repro.experiments.campaign`` — see docs/CAMPAIGN.md.
+A timing change — one that moves any ``simstats`` — must come with a
+``CACHE_SCHEMA_VERSION`` bump in ``repro.experiments.campaign``, so cached
+results computed by the old model stop hitting.  A change that moves only
+``config_sha`` (a ``GpuConfig`` field added or removed) needs no bump:
+``sims/`` cache keys contain the config hash and move on their own.  See
+docs/CAMPAIGN.md.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ WORKLOADS = (
     ("bvhnn", "R10K", 64),
     ("btree", "B+10K", 64),
     ("flann", "R10K", 64),
+    ("ggnn", "S10K", 64),
 )
 
 

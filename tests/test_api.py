@@ -9,10 +9,11 @@ call.
 import pytest
 
 from repro import api
+from repro.compiler.ops import WarpOp
 from repro.errors import ConfigError
 from repro.experiments import campaign, common
 from repro.gpusim import KernelTrace, WarpInstr, WarpTrace
-from repro.workloads import run_btree, to_traces
+from repro.workloads import WorkloadRun, run_btree, to_traces
 
 FAMILY, ABBR, QUERIES = "btree", "B+10K", 32
 
@@ -112,6 +113,22 @@ class TestCacheOverride:
     def test_invalid_mode_is_rejected(self):
         with pytest.raises(ConfigError):
             api.simulate((FAMILY, ABBR), cache="sometimes")
+
+    @pytest.mark.parametrize("width", [0, -4, 7])
+    def test_invalid_euclid_width_is_rejected(self, width, monkeypatch):
+        """A width that is not a positive even number fails before any
+        workload runs or lowers, for a named workload and a WorkloadRun."""
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran past validation")
+
+        monkeypatch.setattr(api, "_simulate_named", never)
+        monkeypatch.setattr(api, "to_traces", never)
+        run = WorkloadRun("probe", "parallel", [[WarpOp("TAlu", (), 32, a=1)]])
+        for workload in (("ggnn", "S10K"), run):
+            with pytest.raises(ConfigError, match="euclid_width"):
+                api.simulate(workload, euclid_width=width,
+                             config=common.config_for(FAMILY))
 
 
 class TestRemovedShims:

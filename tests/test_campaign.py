@@ -341,6 +341,11 @@ class TestExecute:
         groups = {job.group for job in campaign.smoke_jobs()}
         assert len(groups) == 2
 
+    @pytest.mark.parametrize("width", [0, -4, 7])
+    def test_job_rejects_invalid_euclid_width(self, width):
+        with pytest.raises(ConfigError, match="euclid_width"):
+            campaign.Job("ggnn", "S10K", "hsu", euclid_width=width)
+
 
 class TestViews:
     def test_named_simulate_is_a_cache_view(self):

@@ -7,7 +7,6 @@ import pytest
 from repro.compiler.layout import AddressSpace
 from repro.compiler.lowering import (
     CostModel,
-    HsuWidths,
     STYLE_COOPERATIVE,
     STYLE_PARALLEL,
     lower_baseline,
@@ -53,7 +52,7 @@ class TestHsuLowering:
     def test_width_sweep_changes_beats(self):
         for width, beats in ((8, 12), (16, 6), (32, 3)):
             trace = lower_hsu([dist_op(dim=96)], STYLE_PARALLEL,
-                              widths=HsuWidths(euclid=width))
+                              euclid_width=width)
             assert trace.instructions[0].beats == beats
 
     def test_box_is_single_instruction(self):

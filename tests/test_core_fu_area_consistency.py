@@ -1,7 +1,7 @@
 """Cross-checks between the Fig. 6 FU table and the RTL cost model.
 
 These tests pin the *consistency* of the reconstruction: the area and power
-models must be pure functions of the same FU table the pipeline model uses,
+models must be pure functions of the one Fig. 6 FU table in ``core.modes``,
 so a change to one that breaks the paper's claims fails loudly.
 """
 

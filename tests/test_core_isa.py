@@ -1,18 +1,17 @@
-"""HSU ISA definitions (Table I)."""
+"""HSU ISA definitions (Table I) and the datapath widths."""
 
 import pytest
 
 from repro.core.isa import (
     ANGULAR_WIDTH,
     EUCLID_WIDTH,
-    HsuInstruction,
     KEY_COMPARE_WIDTH,
     MAX_BOX_TESTS,
-    Opcode,
-    describe_instruction,
+    angular_width,
+    check_euclid_width,
     instruction_table,
 )
-from repro.errors import IsaError
+from repro.errors import ConfigError
 
 
 class TestWidths:
@@ -22,18 +21,16 @@ class TestWidths:
         assert KEY_COMPARE_WIDTH == 36
         assert MAX_BOX_TESTS == 4
 
-    def test_native_widths_per_opcode(self):
-        assert Opcode.POINT_EUCLID.native_width == 16
-        assert Opcode.POINT_ANGULAR.native_width == 8
-        assert Opcode.KEY_COMPARE.native_width == 36
-        assert Opcode.RAY_INTERSECT.native_width == 0
+    @pytest.mark.parametrize("euclid, angular", [(2, 1), (16, 8), (32, 16)])
+    def test_angular_is_half_of_euclid(self, euclid, angular):
+        assert angular_width(euclid) == angular
 
-    def test_classification(self):
-        assert Opcode.RAY_INTERSECT.is_baseline
-        assert not Opcode.POINT_EUCLID.is_baseline
-        assert Opcode.POINT_EUCLID.is_distance
-        assert Opcode.POINT_ANGULAR.is_distance
-        assert not Opcode.KEY_COMPARE.is_distance
+    @pytest.mark.parametrize("width", [0, -4, 7, 1, 16.0, True])
+    def test_invalid_euclid_width_rejected(self, width):
+        with pytest.raises(ConfigError, match="euclid_width"):
+            check_euclid_width(width)
+        with pytest.raises(ConfigError, match="euclid_width"):
+            angular_width(width)
 
 
 class TestTable:
@@ -45,55 +42,8 @@ class TestTable:
         ]
 
     def test_descriptions_mention_key_facts(self):
-        assert "four ray-box" in describe_instruction(Opcode.RAY_INTERSECT)
-        assert "16-wide" in describe_instruction(Opcode.POINT_EUCLID)
-        assert "dot_sum" in describe_instruction(Opcode.POINT_ANGULAR)
-        assert "36" in describe_instruction(Opcode.KEY_COMPARE)
-
-
-class TestInstructionValidation:
-    def test_valid_euclid(self):
-        instr = HsuInstruction(
-            Opcode.POINT_EUCLID, node_addr=0x1000, fetch_bytes=64,
-            accumulate=True, lanes=16,
-        )
-        assert instr.accumulate
-
-    def test_accumulate_only_for_distance(self):
-        with pytest.raises(IsaError):
-            HsuInstruction(
-                Opcode.RAY_INTERSECT, node_addr=0, fetch_bytes=64,
-                accumulate=True,
-            )
-        with pytest.raises(IsaError):
-            HsuInstruction(
-                Opcode.KEY_COMPARE, node_addr=0, fetch_bytes=16,
-                accumulate=True, num_separators=4,
-            )
-
-    def test_lane_bounds(self):
-        with pytest.raises(IsaError):
-            HsuInstruction(
-                Opcode.POINT_EUCLID, node_addr=0, fetch_bytes=64, lanes=17
-            )
-        with pytest.raises(IsaError):
-            HsuInstruction(
-                Opcode.POINT_ANGULAR, node_addr=0, fetch_bytes=32, lanes=9
-            )
-        with pytest.raises(IsaError):
-            HsuInstruction(
-                Opcode.POINT_EUCLID, node_addr=0, fetch_bytes=64, lanes=0
-            )
-
-    def test_separator_bounds(self):
-        with pytest.raises(IsaError):
-            HsuInstruction(
-                Opcode.KEY_COMPARE, node_addr=0, fetch_bytes=4,
-                num_separators=37,
-            )
-
-    def test_negative_fetch_rejected(self):
-        with pytest.raises(IsaError):
-            HsuInstruction(
-                Opcode.POINT_EUCLID, node_addr=0, fetch_bytes=-1, lanes=4
-            )
+        described = dict(instruction_table())
+        assert "four ray-box" in described["RAY_INTERSECT"]
+        assert "16-wide" in described["POINT_EUCLID"]
+        assert "dot_sum" in described["POINT_ANGULAR"]
+        assert "36" in described["KEY_COMPARE"]

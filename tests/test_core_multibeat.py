@@ -1,9 +1,9 @@
-"""Multi-beat planning and the accumulate state machine (§IV-F)."""
+"""Multi-beat planning (§IV-F)."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.multibeat import Accumulator, Beat, beat_count, plan_beats
+from repro.core.multibeat import beat_count, iter_beat_slices
 from repro.errors import IsaError
 
 
@@ -13,75 +13,32 @@ class TestBeatPlanning:
         on a point with a dimension of 65 because ceil(65/8) = 9. The first
         8 instructions would have the accumulate bit set, and the last
         instruction would have it cleared.'"""
-        beats = plan_beats(65, 8)
-        assert len(beats) == 9
-        assert [b.accumulate for b in beats] == [True] * 8 + [False]
-        assert beats[-1].lanes == 1  # 65 = 8*8 + 1
+        beats = list(iter_beat_slices(65, 8))
+        assert beat_count(65, 8) == len(beats) == 9
+        assert beats[-1] == (64, 65)  # 65 = 8*8 + 1
 
     def test_single_beat_has_no_accumulate(self):
-        beats = plan_beats(16, 16)
-        assert beats == [Beat(0, 0, 16, False)]
+        assert beat_count(16, 16) == 1
+        assert list(iter_beat_slices(16, 16)) == [(0, 16)]
 
     def test_slices_cover_dimension_exactly(self):
-        beats = plan_beats(100, 16)
         covered = []
-        for beat in beats:
-            covered.extend(range(beat.lo, beat.hi))
+        for lo, hi in iter_beat_slices(100, 16):
+            covered.extend(range(lo, hi))
         assert covered == list(range(100))
 
     def test_invalid_inputs(self):
         with pytest.raises(IsaError):
-            plan_beats(0, 16)
+            list(iter_beat_slices(0, 16))
         with pytest.raises(IsaError):
-            plan_beats(16, 0)
+            list(iter_beat_slices(16, 0))
         with pytest.raises(IsaError):
             beat_count(-1, 8)
 
     @given(st.integers(1, 2048), st.integers(1, 64))
     def test_beat_count_matches_plan(self, dim, width):
-        beats = plan_beats(dim, width)
+        beats = list(iter_beat_slices(dim, width))
         assert len(beats) == beat_count(dim, width)
-        assert sum(b.lanes for b in beats) == dim
-        # Exactly the last beat clears the accumulate bit.
-        assert sum(not b.accumulate for b in beats) == 1
-        assert not beats[-1].accumulate
-
-
-class TestAccumulator:
-    def test_single_fold_returns_result(self):
-        acc = Accumulator()
-        result = acc.fold(owner=1, value0=2.0, value1=3.0, accumulate=False)
-        assert result == (2.0, 3.0)
-        assert not acc.busy
-
-    def test_chain_accumulates(self):
-        acc = Accumulator()
-        assert acc.fold(1, 1.0, 10.0, accumulate=True) is None
-        assert acc.busy
-        assert acc.fold(1, 2.0, 20.0, accumulate=True) is None
-        result = acc.fold(1, 3.0, 30.0, accumulate=False)
-        assert result == (6.0, 60.0)
-        assert not acc.busy
-
-    def test_resets_between_chains(self):
-        acc = Accumulator()
-        acc.fold(1, 5.0, 0.0, accumulate=False)
-        result = acc.fold(2, 7.0, 0.0, accumulate=False)
-        assert result == (7.0, 0.0)
-
-    def test_interleaved_owner_rejected(self):
-        """The hardware ordering rule: 'no instructions from a different
-        warp can enter the datapath after the first accumulate instruction
-        is executed.'"""
-        acc = Accumulator()
-        acc.fold(1, 1.0, 0.0, accumulate=True)
-        with pytest.raises(IsaError):
-            acc.fold(2, 1.0, 0.0, accumulate=False)
-
-    def test_float32_saturation_semantics(self):
-        """Sums are kept in fp32, like the datapath's adders."""
-        acc = Accumulator()
-        acc.fold(1, 1e8, 0.0, accumulate=True)
-        result = acc.fold(1, 1.0, 0.0, accumulate=False)
-        # 1e8 + 1 is not representable in fp32.
-        assert result[0] == 1e8
+        assert sum(hi - lo for lo, hi in beats) == dim
+        # Every beat but the last is full width.
+        assert all(hi - lo == width for lo, hi in beats[:-1])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry.aabb import Aabb
-from repro.geometry.intersect_box import intersect_ray_box, intersect_ray_box4
+from repro.geometry.intersect_box import intersect_ray_box
 from repro.geometry.intersect_tri import intersect_ray_triangle
 from repro.geometry.ray import Ray
 from repro.geometry.triangle import Triangle
@@ -53,40 +53,6 @@ class TestRayBox:
     def test_ray_from_inside_always_hits(self, x, y, z):
         ray = Ray(Vec3(x, y, z), Vec3(0.3, -0.9, 0.2))
         assert intersect_ray_box(ray, UNIT_BOX).hit
-
-
-class TestRayBox4:
-    def boxes(self):
-        return [
-            Aabb(Vec3(float(i), 0.0, 0.0), Vec3(float(i) + 0.5, 1.0, 1.0))
-            for i in range(4)
-        ]
-
-    def test_sorted_closest_first(self):
-        ray = Ray(Vec3(-1.0, 0.5, 0.5), Vec3(1.0, 0.0, 0.0))
-        hits = intersect_ray_box4(ray, self.boxes())
-        assert [h.hit for h in hits] == [True] * 4
-        entries = [h.t_entry for h in hits]
-        assert entries == sorted(entries)
-        assert [h.child_index for h in hits] == [0, 1, 2, 3]
-
-    def test_misses_sorted_last(self):
-        boxes = self.boxes()
-        boxes[0] = Aabb(Vec3(0.0, 5.0, 0.0), Vec3(0.5, 6.0, 1.0))  # miss
-        ray = Ray(Vec3(-1.0, 0.5, 0.5), Vec3(1.0, 0.0, 0.0))
-        hits = intersect_ray_box4(ray, boxes)
-        assert [h.hit for h in hits] == [True, True, True, False]
-        assert hits[-1].child_index == 0
-
-    def test_more_than_four_rejected(self):
-        ray = Ray(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            intersect_ray_box4(ray, [UNIT_BOX] * 5)
-
-    def test_child_indices_mismatch_rejected(self):
-        ray = Ray(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 0.0, 0.0))
-        with pytest.raises(ValueError):
-            intersect_ray_box4(ray, [UNIT_BOX], child_indices=[1, 2])
 
 
 TRIANGLE = Triangle(

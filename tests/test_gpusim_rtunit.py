@@ -1,9 +1,15 @@
 """RT/HSU unit model: warp buffer, fetch coalescing, pipeline allocation."""
 
-from repro.core.isa import Opcode
+import pytest
+
+from repro.compiler.lowering import STYLE_PARALLEL, lower_hsu
+from repro.compiler.ops import METRIC_ANGULAR, METRIC_EUCLID, WarpOp
+from repro.core.isa import KEY_COMPARE_WIDTH, Opcode, angular_width
+from repro.core.modes import PIPELINE_DEPTH
+from repro.core.multibeat import beat_count
 from repro.gpusim.cache import Cache
 from repro.gpusim.config import VOLTA_V100
-from repro.gpusim.rtunit import RtUnit
+from repro.gpusim.rtunit import RtUnit, hsu_coalesced_lines
 from repro.gpusim.trace import KIND_HSU, WarpInstr
 
 
@@ -66,6 +72,47 @@ class TestExecution:
         unit, l1 = make_unit()
         unit.execute(hsu_instr(active=4, stride=4096), 0)
         assert l1.stats.accesses == 4
+
+
+ADDRS = tuple(0x10000 * i for i in range(1, 5))
+
+
+class TestLatencyPerOpcode:
+    """On an idle unit, an instruction lowered by ``lower_hsu`` is ready at
+    fetch completion + active x beats + ``PIPELINE_DEPTH``: the timing
+    model reads the one beat formula (``beat_count``) and the one depth."""
+
+    @pytest.mark.parametrize(
+        "op, euclid_width, opcode, width, beats",
+        [
+            (WarpOp("TDist", ADDRS, 4, a=96, meta=METRIC_EUCLID), 16,
+             Opcode.POINT_EUCLID, 16, 6),
+            (WarpOp("TDist", ADDRS, 4, a=96, meta=METRIC_EUCLID), 32,
+             Opcode.POINT_EUCLID, 32, 3),
+            (WarpOp("TDist", ADDRS, 4, a=65, meta=METRIC_ANGULAR), 16,
+             Opcode.POINT_ANGULAR, angular_width(16), 9),
+            (WarpOp("TKeyCmp", ADDRS[:1], 32, a=255), 16,
+             Opcode.KEY_COMPARE, KEY_COMPARE_WIDTH, 8),
+            (WarpOp("TBox", ADDRS, 4, a=4, b=128), 16,
+             Opcode.RAY_INTERSECT, None, 1),
+        ],
+        ids=["euclid96", "euclid96-w32", "angular65", "keycmp255", "box4"],
+    )
+    def test_result_ready_is_fetch_plus_beats_plus_depth(
+        self, op, euclid_width, opcode, width, beats
+    ):
+        trace = lower_hsu([op], STYLE_PARALLEL, euclid_width=euclid_width)
+        (instr,) = [i for i in trace.instructions if i.kind == KIND_HSU]
+        assert instr.opcode is opcode
+        if width is not None:
+            assert beat_count(op.a, width) == beats
+        assert instr.beats == beats
+        unit, _ = make_unit()
+        twin_l1 = make_unit()[1]  # an identical idle L1 times the fetch
+        fetch_done = twin_l1.access_lines(hsu_coalesced_lines(instr, 128), 0)
+        assert fetch_done >= 200
+        done = unit.execute(instr, issue_time=0)
+        assert done == fetch_done + instr.active * beats + PIPELINE_DEPTH
 
 
 class TestWarpBuffer:

@@ -6,7 +6,6 @@ invariants the unit tests cannot see.
 
 import pytest
 
-from repro.compiler.lowering import HsuWidths
 from repro.gpusim import VOLTA_V100, simulate
 from repro.gpusim.trace import KIND_HSU
 from repro.workloads import run_bvhnn, run_ggnn, to_traces
@@ -47,8 +46,8 @@ class TestDesignPoints:
         return run_ggnn("S10K", num_queries=8)
 
     def test_wider_datapath_fewer_beats(self, run):
-        narrow = simulate(CFG, to_traces(run, widths=HsuWidths(euclid=8)).hsu)
-        wide = simulate(CFG, to_traces(run, widths=HsuWidths(euclid=32)).hsu)
+        narrow = simulate(CFG, to_traces(run, euclid_width=8).hsu)
+        wide = simulate(CFG, to_traces(run, euclid_width=32).hsu)
         assert wide.hsu_thread_beats < narrow.hsu_thread_beats
         # Same work, different beat counts: 4x width => ~4x fewer beats.
         assert narrow.hsu_thread_beats == pytest.approx(
