@@ -145,8 +145,8 @@ class PhaseStats:
     execution, trace lowering, and fingerprinting; ``simulate`` is time
     spent inside :meth:`GpuSimulator.run`.  Cache bookkeeping, manifest
     I/O, and pool overhead are in neither bucket, so the phases do not sum
-    to the campaign wall-clock.  ``benchmarks/bench_simcore.py`` records
-    both numbers and gates regressions per phase.
+    to the campaign wall-clock.  The campaign manifest records both
+    (``tracegen_seconds``, ``simulate_seconds``).
     """
 
     tracegen: float = 0.0
@@ -617,6 +617,17 @@ def job_trace(job: Job) -> KernelTrace:
     return bundle.baseline if job.variant == "baseline" else bundle.hsu
 
 
+def job_config(job: Job) -> GpuConfig:
+    """The config the job simulates under: its family's configuration
+    with the job's warp buffer (HSU jobs), scheduler and memory model."""
+    from repro.experiments import common  # deferred: the registry
+
+    config = common.config_for(job.family)
+    if job.variant == "hsu":
+        config = config.with_warp_buffer(job.warp_buffer)
+    return config.with_scheduler(job.scheduler).with_memory(job.memory)
+
+
 def run_job(
     job: Job, mode: str | None = None, ingest: TraceIngest | None = None
 ) -> JobOutcome:
@@ -643,10 +654,7 @@ def run_job(
         metric=job.metric,
     )
     wkey = params | {"variant": job.variant_label}
-    config = common.config_for(job.family)
-    if job.variant == "hsu":
-        config = config.with_warp_buffer(job.warp_buffer)
-    config = config.with_scheduler(job.scheduler).with_memory(job.memory)
+    config = job_config(job)
     config_sha = config.stable_hash()
     tkey = trace_key(params, job.variant, job.euclid_width)
     if mode == "on":

@@ -106,37 +106,11 @@ class Cache:
                 unit="mshrs",
             )
 
-    def _set_index(self, line_addr: int) -> int:
-        return (line_addr // self.line_bytes) % self.sets
-
-    def _touch(self, line_addr: int) -> None:
-        self._use_counter += 1
-        self._tags[self._set_index(line_addr)][line_addr] = self._use_counter
-
-    def _insert(self, line_addr: int) -> None:
-        # _set_index/_touch inlined (identical semantics): this runs once
-        # per miss in the hottest loop.
-        tag_set = self._tags[(line_addr // self.line_bytes) % self.sets]
-        if line_addr not in tag_set and len(tag_set) >= self.ways:
-            victim = min(tag_set, key=tag_set.get)  # type: ignore[arg-type]
-            del tag_set[victim]
-        self._use_counter += 1
-        tag_set[line_addr] = self._use_counter
-
-    def _drain_pending(self, now: int) -> None:
-        while self._pending_heap and self._pending_heap[0][0] <= now:
-            _done, line = heapq.heappop(self._pending_heap)
-            # Only delete when the heap entry matches the live record (a
-            # merged line keeps one record; duplicates can't arise since we
-            # push once per fill).
-            self._pending.pop(line, None)
-
     def access(self, line_addr: int, time: int) -> tuple[int, bool]:
         """Access one cache line; returns (data_ready_time, hit).
 
         The tag-hit path is the simulator's hottest loop, so the LRU touch
-        and set-index arithmetic are inlined here (semantically identical
-        to :meth:`_touch`/:meth:`_set_index`, which remain the reference).
+        and the set-index arithmetic are written inline.
         """
         stats = self.stats
         stats.accesses += 1
@@ -207,12 +181,12 @@ class Cache:
         ``max(self.access(line, time)[0] for line in lines)`` — same
         per-line port grants, stats, MSHR behavior, and tracer records —
         with the attribute lookups hoisted, the stats accumulated locally
-        and flushed once, :meth:`_drain_pending`/:meth:`_insert` inlined,
-        and a pure-integer port grant when ``port_interval == 1.0`` (the
-        L1 case: an integral accumulator plus 1.0 per grant stays exactly
-        integral, so ``ceil`` is the identity).  This is the warp-load
-        fetch path (one call per LDG/HSU instruction instead of one per
-        line), so it is written for speed.
+        and flushed once, and a pure-integer port grant when
+        ``port_interval == 1.0`` (the L1 case: an integral accumulator
+        plus 1.0 per grant stays exactly integral, so ``ceil`` is the
+        identity).  This is the warp-load fetch path (one call per
+        LDG/HSU instruction instead of one per line), so it is written for
+        speed.
         """
         stats = self.stats
         tags = self._tags

@@ -90,6 +90,13 @@ class GpuConfig:
     def __post_init__(self) -> None:
         if self.num_sms < 1:
             raise ConfigError("num_sms must be >= 1")
+        if self.rt_units_per_sm != 1:
+            # Each SmCore builds exactly one RtUnit; the field records
+            # Table III's value but no other count is modelled.
+            raise ConfigError(
+                f"rt_units_per_sm must be 1 (the model builds one RT unit "
+                f"per SM), got {self.rt_units_per_sm}"
+            )
         if self.warp_buffer_size < 1:
             raise ConfigError("warp_buffer_size must be >= 1")
         if self.line_bytes & (self.line_bytes - 1):

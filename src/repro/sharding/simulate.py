@@ -15,14 +15,14 @@ sweeps free.  Devices run concurrently, so the modeled batch time is::
 The scatter/gather/merge volumes come from replaying the *same* broadcast
 radius query batch the per-shard traces executed (same dataset, radius
 artifact, Morton partition and query stream), so the cost model accounts
-the exact result counts the devices produced.  Results land in
-``BENCH_scaling.json`` via ``benchmarks/bench_scaling.py`` and the
-``experiments/scaling.py`` sweep; docs/SHARDING.md walks the recipe.
+the exact result counts the devices produced.  ``experiments/scaling.py``
+prints the sweep, ``tests/goldens/gpusim_smoke.json`` pins the R10K curve
+exactly, and docs/SHARDING.md walks the recipe.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,12 +57,6 @@ class ShardedSimResult:
     load_imbalance: float
     #: Campaign cache hits scored by the per-shard jobs (warmth signal).
     cache_hits: int
-
-    def to_json_dict(self) -> dict[str, object]:
-        """Plain JSON-serializable view (``BENCH_scaling.json`` rows)."""
-        payload = asdict(self)
-        payload["shard_cycles"] = list(self.shard_cycles)
-        return payload
 
 
 def _query_counts(abbr: str, scale: float, shards: int,

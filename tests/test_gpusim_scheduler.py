@@ -2,22 +2,26 @@
 
 The big one is the golden test: the default stack (GTO scheduler + real
 memory hierarchy) must reproduce ``tests/goldens/gpusim_smoke.json``
-bit-exactly, so component refactors can't silently drift the timing
-model.  Around it: per-policy ordering semantics, end-to-end invariants
-for the alternative schedulers, the idealized memory models, integer
-cycle typing under fractional port budgets, and config validation.
+exactly — every pinned job's SimStats, the GGNN graph digests, the
+sharded curve's totals and the serving cost models — so no refactor can
+silently drift the timing model.  Around it: shape checks on the pinned
+curves, per-policy ordering semantics, end-to-end invariants for the
+alternative schedulers, the idealized memory models, integer cycle typing
+under fractional port budgets, and config validation.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
-from functools import lru_cache
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.errors import ConfigError
+from repro.experiments import campaign
 from repro.gpusim import (
     GpuSimulator,
     KernelTrace,
@@ -35,10 +39,21 @@ from repro.gpusim.trace import KIND_ALU, KIND_LDG
 
 CFG = VOLTA_V100.scaled(1)
 
-GOLDEN_PATH = Path(__file__).resolve().parent / "goldens" / "gpusim_smoke.json"
-GOLDEN = json.loads(GOLDEN_PATH.read_text())
-#: Query budget the goldens were captured at (tests/goldens/regen.py).
-GOLDEN_QUERIES = 64
+GOLDEN_DIR = Path(__file__).resolve().parent / "goldens"
+GOLDEN = json.loads((GOLDEN_DIR / "gpusim_smoke.json").read_text())
+
+
+def _load_regen():
+    """``tests/goldens/regen.py``: it declares and computes every pin."""
+    spec = importlib.util.spec_from_file_location(
+        "goldens_regen", GOLDEN_DIR / "regen.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+regen = _load_regen()
 
 
 def kernel(*warps) -> KernelTrace:
@@ -60,30 +75,93 @@ def _ldg_kernel(num_warps: int = 4, loads: int = 24) -> KernelTrace:
     return kernel(*warps)
 
 
-@lru_cache(maxsize=4)
-def _golden_bundle(family: str, abbr: str):
-    from repro.experiments.common import trace_bundle
+@pytest.fixture
+def fresh_cache(tmp_path, monkeypatch):
+    """An empty campaign cache and results dir."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
 
-    return trace_bundle(family, abbr, GOLDEN_QUERIES)
+
+@pytest.fixture(scope="module")
+def sharded_passes(tmp_path_factory):
+    """A cold then a warm pass of the pinned sharded curve on one fresh
+    campaign cache, each ``{shards: ShardedSimResult}``."""
+    tmp = tmp_path_factory.mktemp("sharded")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("REPRO_CACHE_DIR", str(tmp / "cache"))
+        mp.setenv("REPRO_RESULTS_DIR", str(tmp / "results"))
+        return [
+            {shards: regen.sharded_point(shards)
+             for shards in regen.SHARD_COUNTS}
+            for _pass in ("cold", "warm")
+        ]
 
 
 class TestGoldenBitExact:
-    @pytest.mark.parametrize("key", sorted(GOLDEN))
+    @pytest.mark.parametrize("key", sorted(regen.JOBS))
     def test_matches_committed_golden(self, key):
-        from repro.experiments.common import config_for
-
-        family, abbr, variant = key.split("-")
+        job = regen.JOBS[key]
         entry = GOLDEN[key]
-        bundle = _golden_bundle(family, abbr)
-        trace = bundle.baseline if variant == "baseline" else bundle.hsu
-        config = config_for(family)
-        # The goldens pin the *default* component stack.
-        assert (config.scheduler, config.memory) == ("gto", "real")
+        trace = campaign.job_trace(job)
+        config = campaign.job_config(job)
         # Input drift would invalidate the comparison — catch it first.
         assert trace.fingerprint() == entry["trace_sha"], key
         assert config.stable_hash() == entry["config_sha"], key
         stats = GpuSimulator(config, trace).run()
         assert stats.to_json_dict() == entry["simstats"], key
+
+    @pytest.mark.parametrize("key", sorted(regen.GRAPHS))
+    def test_graph_digest(self, key):
+        assert regen.graph_digest(regen.GRAPHS[key]) == (
+            GOLDEN[key]["graph_sha"]
+        ), key
+
+    @pytest.mark.parametrize("key", sorted(regen.SHARDED_POINTS))
+    def test_sharded_point(self, key, sharded_passes):
+        point = sharded_passes[0][regen.SHARDED_POINTS[key]]
+        assert regen.sharded_pin(point) == GOLDEN[key], key
+
+    @pytest.mark.parametrize("key", sorted(regen.COST_MODELS))
+    def test_cost_model(self, key, fresh_cache):
+        assert regen.cost_model(*regen.COST_MODELS[key]) == GOLDEN[key], key
+
+    def test_file_holds_exactly_the_declared_pins(self):
+        declared = [*regen.JOBS, *regen.GRAPHS, *regen.SHARDED_POINTS,
+                    *regen.COST_MODELS]
+        assert sorted(GOLDEN) == sorted(declared)
+
+
+class TestPinnedCurveShapes:
+    """Directions the pinned curves must keep.  The pins equal the live
+    model (above), so these hold for it, and a regeneration that breaks
+    one fails here."""
+
+    @pytest.mark.parametrize("metric", ("euclid",) + campaign.METRIC_SWEEP)
+    def test_hsu_beats_baseline_on_every_metric(self, metric):
+        # A metric reduction that makes the HSU slower than the baseline
+        # is a lowering bug, not noise.
+        cycles = {
+            job.variant: GOLDEN[key]["simstats"]["cycles"]
+            for key, job in regen.JOBS.items()
+            if job.family == "arkade" and job.metric == metric
+        }
+        assert cycles["hsu"] < cycles["baseline"], (metric, cycles)
+
+    def test_no_sharded_makespan_exceeds_the_single_device_total(
+        self, sharded_passes
+    ):
+        # Partitioning shrinks every device's BVH, so sharding must never
+        # lose cycles.
+        cold = sharded_passes[0]
+        for shards, point in cold.items():
+            assert point.makespan_cycles <= cold[1].total_cycles, shards
+
+    def test_repeated_sharded_point_is_all_cache_hits(self, sharded_passes):
+        cold, warm = sharded_passes
+        for shards in regen.SHARD_COUNTS:
+            assert cold[shards].cache_hits == 0, shards
+            assert warm[shards].cache_hits == shards, shards
+            assert replace(warm[shards], cache_hits=0) == cold[shards], shards
 
 
 class TestSchedulerOrdering:
@@ -222,6 +300,13 @@ class TestValidation:
     def test_unknown_memory_rejected(self):
         with pytest.raises(ConfigError):
             CFG.with_memory("bogus")
+
+    @pytest.mark.parametrize("units", [0, 2])
+    def test_rt_units_other_than_one_rejected(self, units):
+        # SmCore builds one RtUnit, so any other count would silently
+        # simulate one.
+        with pytest.raises(ConfigError, match="rt_units_per_sm"):
+            replace(CFG, rt_units_per_sm=units)
 
     def test_registries_cover_the_config_names(self):
         assert set(SCHEDULERS) == set(SCHEDULER_POLICIES)

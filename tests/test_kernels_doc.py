@@ -44,9 +44,10 @@ KERNEL_NAMES = (
     "coalesce_lines",
 )
 
-#: Names of deleted backend/engine selection knobs, kernels and query
-#: surfaces.  The docs under :data:`SCANNED_DOCS` must not mention them;
-#: ``CHANGES.md`` and ``ROADMAP.md`` record history and are not scanned.
+#: Names of deleted backend/engine selection knobs, kernels, query
+#: surfaces and benchmark scripts.  The docs under :data:`SCANNED_DOCS`
+#: must not mention them; ``CHANGES.md`` and ``ROADMAP.md`` record history
+#: and are not scanned.
 DELETED_SYMBOLS = (
     "REPRO_KERNEL_BACKEND",
     "REPRO_SIM_ENGINE",
@@ -61,6 +62,13 @@ DELETED_SYMBOLS = (
     "bvh_radius_query",
     "last_events",
     "legacy keyword",
+    "bench_metrics",
+    "bench_scaling",
+    "bench_simcore",
+    "BENCH_metrics.json",
+    "BENCH_scaling.json",
+    "BENCH_simcore.json",
+    "_gate.py",
 )
 
 SCANNED_DOCS = (
@@ -170,7 +178,7 @@ class TestKernelsGuide:
         for required in ("bit-identical", "get_backend",
                          "resolve_backend_name", "ReferenceBackend",
                          "stable_hash", "fingerprint", "golden",
-                         "CACHE_SCHEMA_VERSION", "BENCH_simcore.json"):
+                         "CACHE_SCHEMA_VERSION", "perfbench"):
             assert required.lower() in text.lower(), (
                 f"KERNELS.md must document {required!r}"
             )

@@ -128,7 +128,8 @@ class TestShardingGuide:
         text = SHARDING_DOC.read_text()
         for required in ("bit-identical", "makespan", "scatter", "gather",
                          "merge", "exactness", "load_imbalance",
-                         "BENCH_scaling.json", "bench_scaling.py",
+                         "tests/goldens/gpusim_smoke.json",
+                         "python -m repro.experiments.scaling",
                          "`sharded`", "--families scaling"):
             assert required.lower() in text.lower(), (
                 f"SHARDING.md must document {required!r}"

@@ -258,7 +258,7 @@ class TestEngineMatchesReference:
             Path(__file__).resolve().parent / "goldens" / "gpusim_smoke.json"
         )
         golden = json.loads(golden_path.read_text())
-        key = sorted(golden)[0]
+        key = "btree-B+10K-baseline"
         family, abbr, variant = key.split("-")
         entry = golden[key]
         bundle = trace_bundle(family, abbr, 64)
