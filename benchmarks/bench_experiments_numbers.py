@@ -1,6 +1,6 @@
-"""EXPERIMENTS.md's Figs. 9-11 numbers must be what the code produces.
+"""EXPERIMENTS.md's Figs. 7-14 numbers must be what the code produces.
 
-Each number the doc prints for Figs. 9-11 is parsed back out and compared
+Each number the doc prints for Figs. 7-14 is parsed back out and compared
 with the figure module's ``compute()`` at the precision the doc prints
 it with, and every dataset ``compute()`` covers must be printed.  A
 documented number the code does not produce is a bug: after a model
@@ -10,7 +10,19 @@ change, rerun the figures and rewrite the doc rows.
 import re
 from pathlib import Path
 
-from repro.experiments import fig09_speedup, fig10_width, fig11_warp_buffer
+from repro.analysis.roofline import COMPUTE_BOUND_OPS_PER_CYCLE
+from repro.compiler.lowering import CostModel
+from repro.experiments import (
+    fig07_hsu_fraction,
+    fig08_roofline,
+    fig09_speedup,
+    fig10_width,
+    fig11_warp_buffer,
+    fig12_l1_accesses,
+    fig13_miss_rate,
+    fig14_row_locality,
+)
+from repro.experiments.common import datasets_for
 
 DOC = Path(__file__).resolve().parent.parent / "EXPERIMENTS.md"
 
@@ -30,6 +42,11 @@ def _section(title: str) -> str:
     return text[start:end if end >= 0 else None]
 
 
+def _prose(title: str) -> str:
+    """:func:`_section` with its line breaks folded into single spaces."""
+    return " ".join(_section(title).split())
+
+
 def _check(printed: str, value: float, what: str) -> None:
     """``value`` rendered at ``printed``'s precision must read ``printed``."""
     decimals = len(printed.partition(".")[2])
@@ -37,6 +54,26 @@ def _check(printed: str, value: float, what: str) -> None:
         f"EXPERIMENTS.md prints {what} as {printed}; the code gives "
         f"{value:.{decimals}f}"
     )
+
+
+def _check_range(printed: tuple[str, str], values, what: str) -> None:
+    """A printed ``low–high`` range must read ``min(values)–max(values)``."""
+    values = list(values)
+    _check(printed[0], min(values), f"{what} low end")
+    _check(printed[1], max(values), f"{what} high end")
+
+
+def _by_family(rows, *fields: str) -> dict[str, list[float]]:
+    """{family: every value of ``fields`` over the family's rows}."""
+    values: dict[str, list[float]] = {}
+    for row in rows:
+        values.setdefault(row["app"], []).extend(row[f] for f in fields)
+    return values
+
+
+def _by_dataset(rows) -> dict[str, dict]:
+    """{dataset label without its F-/B- family prefix: row}."""
+    return {row["dataset"].split("-", 1)[-1]: row for row in rows}
 
 
 def _fig09_speedups(results) -> dict[str, dict[str, float]]:
@@ -143,3 +180,89 @@ def test_fig11_per_panel():
     for key, values in panels.items():
         for size, value in zip(fig11_warp_buffer.SIZES, values):
             _check(value, computed[key][size], f"Fig. 11 {key}@{size}")
+
+
+def test_fig07_ranges():
+    fractions = _by_family(fig07_hsu_fraction.compute(), "hsu_able_fraction")
+    line = re.search(
+        rf"Ours: GGNN {NUM}–{NUM}, FLANN {NUM}–{NUM}, BVH-NN {NUM}–{NUM}, "
+        rf"B\+ {NUM}/{NUM}\.", _prose("Fig. 7"),
+    ).groups()
+    _check_range(line[0:2], fractions["ggnn"], "Fig. 7 GGNN")
+    _check_range(line[2:4], fractions["flann"], "Fig. 7 FLANN")
+    _check_range(line[4:6], fractions["bvhnn"], "Fig. 7 BVH-NN")
+    assert datasets_for("btree") == ("B+1M", "B+10K")
+    for printed, value, abbr in zip(line[6:8], fractions["btree"],
+                                    datasets_for("btree")):
+        _check(printed, value, f"Fig. 7 {abbr}")
+
+
+def test_fig08_utilization():
+    rows = fig08_roofline.compute()
+    section = _prose("Fig. 8")
+    bound, peak = re.search(
+        rf"below the {NUM} op/cycle compute bound \(max utilization {NUM}\)",
+        section,
+    ).groups()
+    assert float(bound) == COMPUTE_BOUND_OPS_PER_CYCLE
+    assert all(r["ops_per_cycle"] < COMPUTE_BOUND_OPS_PER_CYCLE for r in rows)
+    _check(peak, max(r["utilization"] for r in rows), "Fig. 8 max utilization")
+    ggnn = _by_dataset(r for r in rows if r["app"] == "ggnn")
+    angular = re.search(rf"\(GLV {NUM}, NYT {NUM}\)", section).groups()
+    for printed, abbr in zip(angular, ("GLV", "NYT")):
+        _check(printed, ggnn[abbr]["utilization"], f"Fig. 8 {abbr}")
+
+
+def test_fig12_ranges():
+    normalized = _by_family(fig12_l1_accesses.compute(), "normalized")
+    section = _prose("Fig. 12")
+    for name in ("BVH-NN", "FLANN", "GGNN"):
+        printed = re.search(rf"{name} {NUM}–{NUM}", section).groups()
+        _check_range(printed, normalized[FAMILIES[name]], f"Fig. 12 {name}")
+    btree = re.search(rf"B\+ {NUM} \(", section).group(1)
+    for value in normalized["btree"]:
+        _check(btree, value, "Fig. 12 B+")
+    loads = re.search(r"re-touches node lines (\d+)× per child", section)
+    assert int(loads.group(1)) == CostModel().box_loads_per_child
+
+
+def test_fig13_ranges():
+    """Each printed L1 miss-rate range spans both designs of a family."""
+    rows = fig13_miss_rate.compute()
+    misses = _by_family(rows, "baseline_l1_miss_rate", "hsu_l1_miss_rate")
+    section = _prose("Fig. 13")
+    for pattern, family in (
+        (rf"GGNN high-dim {NUM}–{NUM} L1 miss", "ggnn"),
+        (rf"3-D FLANN {NUM}–{NUM}", "flann"),
+        (rf"BVH-NN {NUM}–{NUM}", "bvhnn"),
+    ):
+        printed = re.search(pattern, section).groups()
+        _check_range(printed, misses[family], f"Fig. 13 {family}")
+    # "the HSU's miss rate is higher than the baseline's wherever
+    # accesses shrank"
+    shrank = {
+        (r["app"], r["dataset"]) for r in fig12_l1_accesses.compute()
+        if r["hsu_l1_accesses"] < r["baseline_l1_accesses"]
+    }
+    assert shrank
+    for row in rows:
+        if (row["app"], row["dataset"]) in shrank:
+            assert row["hsu_l1_miss_rate"] > row["baseline_l1_miss_rate"], row
+
+
+def test_fig14_examples():
+    rows = fig14_row_locality.compute()
+    section = _prose("Fig. 14")
+    ggnn = _by_dataset(r for r in rows if r["app"] == "ggnn")
+    examples = re.findall(rf"\b([A-Z0-9]+) {NUM} vs {NUM}", section)
+    assert [abbr for abbr, *_ in examples] == ["D1B", "FMNT"]
+    for abbr, base, hsu in examples:
+        _check(base, ggnn[abbr]["baseline_row_locality"], f"Fig. 14 {abbr}")
+        _check(hsu, ggnn[abbr]["hsu_row_locality"], f"Fig. 14 {abbr} HSU")
+    assert "B+ identical" in section
+    for row in rows:
+        if row["app"] == "btree":
+            assert row["baseline_row_locality"] == row["hsu_row_locality"]
+        # "within a few percent on every workload"
+        base = row["baseline_row_locality"]
+        assert abs(row["hsu_row_locality"] - base) <= 0.05 * base, row

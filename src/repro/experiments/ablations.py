@@ -24,6 +24,11 @@ III; these bound how much those choices matter):
 * **Memory idealization** — the HSU trace against a perfect
   (always-hitting) L1 and against contention-free DRAM, isolating
   cache-miss stalls from DRAM-scheduling stalls.
+
+These two read the campaign's ablation jobs
+(:func:`repro.experiments.campaign.ablation_jobs`) through
+:func:`repro.api.simulate`, so ``python -m repro.experiments.campaign
+--families ablations`` warms exactly the cache entries they print.
 """
 
 from __future__ import annotations
@@ -39,13 +44,14 @@ from repro.bvh.sah import build_sah
 from repro.bvh.traversal import TraversalStats, radius_search_batch
 from repro.datasets.registry import load_dataset
 from repro import api
+from repro.experiments import campaign
 from repro.experiments.common import config_for, default_config
+from repro.gpusim.stats import SimStats
 from repro.workloads import run_bvhnn, run_ggnn, to_traces
 from repro.workloads.bvhnn import choose_radius
 
 #: Datasets used by the ablation studies (kept small; these sweep variants).
 BVH_DATASETS = ("R10K", "BUN")
-_QUERIES = 1024
 
 
 @lru_cache(maxsize=1)
@@ -62,13 +68,12 @@ def bvh_variants(datasets: tuple[str, ...] = BVH_DATASETS) -> list[dict[str, obj
     )
     for abbr in datasets:
         for label, kwargs in variants:
-            run = run_bvhnn(abbr, num_queries=_QUERIES, **kwargs)
+            run = run_bvhnn(abbr, num_queries=campaign.ABLATION_QUERIES, **kwargs)
             slug = "ablation-" + "".join(
                 c if c.isalnum() else "-" for c in label
             ).strip("-")
-            stats = api.simulate(
-                to_traces(run).hsu, variant=slug, config=config,
-                label=("bvhnn", abbr),
+            stats = campaign.cached_simulate(
+                "bvhnn", abbr, slug, config, to_traces(run).hsu
             )
             rows.append(
                 {
@@ -87,7 +92,7 @@ def rt_fetch_paths() -> list[dict[str, object]]:
     """§VI-I study: shared L1 vs bypass vs private RT cache."""
     rows = []
     cases = (
-        ("bvhnn", "R10K", run_bvhnn, {"num_queries": _QUERIES}),
+        ("bvhnn", "R10K", run_bvhnn, {"num_queries": campaign.ABLATION_QUERIES}),
         ("ggnn", "S10K", run_ggnn, {"num_queries": 16}),
     )
     for family, abbr, maker, kwargs in cases:
@@ -102,8 +107,8 @@ def rt_fetch_paths() -> list[dict[str, object]]:
             slug = "fetch-" + "".join(
                 c if c.isalnum() else "-" for c in label
             ).strip("-")
-            stats = api.simulate(
-                hsu_trace, variant=slug, config=config, label=(family, abbr)
+            stats = campaign.cached_simulate(
+                family, abbr, slug, config, hsu_trace
             )
             rows.append(
                 {
@@ -145,30 +150,26 @@ def build_quality(abbr: str = "R10K", num_queries: int = 256) -> dict[str, objec
     return {"dataset": abbr, "radius": radius, **stats}
 
 
-#: (family, dataset) the scheduler/memory ablations run on.
-_COMPONENT_WORKLOAD = ("bvhnn", "R10K")
+def _simulate_job(job: campaign.Job) -> SimStats:
+    return api.simulate(
+        (job.family, job.abbr), variant=job.variant, queries=job.queries,
+        scheduler=job.scheduler, memory=job.memory,
+    )
 
 
-@lru_cache(maxsize=1)
-def scheduler_policies() -> list[dict[str, object]]:
-    """Component study: HSU cycles per warp-scheduler policy."""
-    from repro.gpusim.config import SCHEDULER_POLICIES
-
-    family, abbr = _COMPONENT_WORKLOAD
-    run = run_bvhnn(abbr, num_queries=_QUERIES)
-    hsu_trace = to_traces(run).hsu
-    base_config = config_for(family)
+@lru_cache(maxsize=2)
+def scheduler_policies(smoke: bool = False) -> list[dict[str, object]]:
+    """Component study: HSU cycles per warp-scheduler policy (the
+    real-memory ablation jobs; ``smoke`` reads the CI-sized ones)."""
     rows = []
-    for policy in SCHEDULER_POLICIES:
-        config = base_config.with_scheduler(policy)
-        stats = api.simulate(
-            hsu_trace, variant=f"sched-{policy}", config=config,
-            label=(family, abbr),
-        )
+    for job in campaign.ablation_jobs(smoke):
+        if job.memory != "real":
+            continue
+        stats = _simulate_job(job)
         rows.append(
             {
-                "dataset": abbr,
-                "policy": policy,
+                "dataset": job.abbr,
+                "policy": job.scheduler,
                 "hsu_cycles": stats.cycles,
                 "l1_misses": stats.l1_misses,
             }
@@ -176,26 +177,20 @@ def scheduler_policies() -> list[dict[str, object]]:
     return rows
 
 
-@lru_cache(maxsize=1)
-def memory_idealization() -> list[dict[str, object]]:
-    """Component study: HSU cycles under idealized memory models."""
-    from repro.gpusim.config import MEMORY_MODELS
-
-    family, abbr = _COMPONENT_WORKLOAD
-    run = run_bvhnn(abbr, num_queries=_QUERIES)
-    hsu_trace = to_traces(run).hsu
-    base_config = config_for(family)
+@lru_cache(maxsize=2)
+def memory_idealization(smoke: bool = False) -> list[dict[str, object]]:
+    """Component study: HSU cycles under each memory model (the GTO
+    ablation jobs, the ``real`` row being the scheduler study's GTO job;
+    ``smoke`` reads the CI-sized ones)."""
     rows = []
-    for model in MEMORY_MODELS:
-        config = base_config.with_memory(model)
-        stats = api.simulate(
-            hsu_trace, variant=f"mem-{model}", config=config,
-            label=(family, abbr),
-        )
+    for job in campaign.ablation_jobs(smoke):
+        if job.scheduler != "gto":
+            continue
+        stats = _simulate_job(job)
         rows.append(
             {
-                "dataset": abbr,
-                "memory": model,
+                "dataset": job.abbr,
+                "memory": job.memory,
                 "hsu_cycles": stats.cycles,
                 "l1_misses": stats.l1_misses,
                 "dram_accesses": stats.dram_accesses,

@@ -169,7 +169,13 @@ phase_stats = PhaseStats()
 
 @dataclass(frozen=True)
 class Job:
-    """One deterministically keyed simulation of the evaluation campaign."""
+    """One deterministically keyed simulation of the evaluation campaign.
+
+    The fields are the one definition of a simulation's axes and their
+    defaults (:func:`repro.api.simulate` hands its keywords straight
+    here), and construction is their one check: a bad axis raises
+    :class:`~repro.errors.ConfigError` before any workload runs.
+    """
 
     family: str
     abbr: str
@@ -183,33 +189,51 @@ class Job:
     #: validated by ``GpuConfig`` when the job's config is built.
     scheduler: str = "gto"
     memory: str = "real"
-    #: Multi-device axes (the ``scaling`` pseudo-family): dataset scale
-    #: factor and which shard of how many this job simulates.  Defaults
-    #: keep every pre-sharding cache key and run id byte-identical.
+    #: Multi-device axes (the ``scaling`` pseudo-family, bvhnn only):
+    #: dataset scale factor and which shard of how many this job
+    #: simulates.  Defaults keep every pre-sharding cache key and run id
+    #: byte-identical.
     scale: float = 1.0
     shards: int = 1
     shard: int = 0
-    #: Distance-metric axis (the ``metrics`` pseudo-family, ``arkade``
-    #: workloads).  The default keeps every pre-metric cache key and run
-    #: id byte-identical.
+    #: Distance-metric axis (the ``metrics`` pseudo-family, arkade only).
+    #: The default keeps every pre-metric cache key and run id
+    #: byte-identical.
     metric: str = "euclid"
 
     def __post_init__(self) -> None:
+        from repro.experiments.common import datasets_for  # the registry
+
         if self.variant not in _VARIANTS:
             raise ConfigError(
                 f"unknown variant {self.variant!r} (want one of {_VARIANTS})"
             )
+        if self.abbr not in datasets_for(self.family):
+            raise ConfigError(f"unknown {self.family} dataset {self.abbr!r}")
+        if self.queries is not None and self.queries < 1:
+            raise ConfigError(f"queries must be >= 1, got {self.queries}")
         if self.shards < 1 or not 0 <= self.shard < self.shards:
             raise ConfigError(
                 f"shard {self.shard} out of range for {self.shards} shard(s)"
             )
         if self.scale <= 0:
             raise ConfigError(f"scale must be > 0, got {self.scale}")
+        if (self.shards != 1 or self.scale != 1.0) and self.family != "bvhnn":
+            raise ConfigError(
+                f"sharded/scaled workloads are only lowered for the bvhnn "
+                f"family (got {self.family!r})"
+            )
         check_euclid_width(self.euclid_width)
         if self.metric != "euclid":
             from repro.metrics.transforms import validate_metric
 
             validate_metric(self.metric, context="campaign Job")
+            if self.family != "arkade":
+                raise ConfigError(
+                    f"non-Euclidean metrics are only lowered for the arkade "
+                    f"family (got {self.family!r} with "
+                    f"metric={self.metric!r})"
+                )
 
     @property
     def group(self) -> tuple:
@@ -474,7 +498,9 @@ def cached_simulate(
     trace_sha: str | None = None,
     ingest: TraceIngest | None = None,
 ) -> SimStats:
-    """Simulate through the persistent cache (the ``simulate_recorded`` core).
+    """Simulate one recorded trace under ``config`` through the persistent
+    cache: the entry point for a pre-lowered :class:`KernelTrace` (named
+    workloads go through :func:`run_job`, which calls this on a miss).
 
     Content-addressed: the key hashes the actual ``kernel`` fingerprint and
     ``config``, so a hit is guaranteed to correspond to a bit-identical
@@ -498,12 +524,8 @@ def cached_simulate(
     config_sha = config.stable_hash()
     key = stats_key(wkey, trace_sha, config_sha)
     if mode == "on":
-        cached = load_stats_entry(key)
-        if cached is not None:
-            stats, payload = cached
-            cache_stats.hits += 1
-            if manifests_enabled() and payload.get("manifest"):
-                _restamp_manifest(payload["manifest"])
+        stats = _stats_hit(key)
+        if stats is not None:
             return stats
     cache_stats.misses += 1
     packed = ingest.pack(config) if ingest is not None else None
@@ -527,14 +549,22 @@ def cached_simulate(
     return stats
 
 
-def _restamp_manifest(snapshot: dict[str, object]) -> None:
-    """Rewrite a cached run manifest into ``results/`` on a cache hit."""
-    from repro.gpusim.observability import RunManifest
+def _stats_hit(key: str) -> SimStats | None:
+    """The one stats-cache hit path: load the entry, count the hit, and
+    re-stamp its run manifest to ``results/``; ``None`` on a miss."""
+    cached = load_stats_entry(key)
+    if cached is None:
+        return None
+    stats, payload = cached
+    cache_stats.hits += 1
+    if manifests_enabled() and payload.get("manifest"):
+        from repro.gpusim.observability import RunManifest
 
-    try:
-        write_manifest(RunManifest.from_json_dict(dict(snapshot)))
-    except (ConfigError, TypeError, OSError):
-        pass  # the manifest is an audit artifact; a hit must not fail on it
+        try:
+            write_manifest(RunManifest.from_json_dict(dict(payload["manifest"])))
+        except (ConfigError, TypeError, OSError):
+            pass  # the manifest is an audit artifact; a hit must not fail on it
+    return stats
 
 
 #: Workload family -> defining module (lazy since repro.workloads uses
@@ -648,11 +678,7 @@ def run_job(
         set_cache_mode(mode)
     mode = cache_mode()
     start = time.perf_counter()
-    params = common.workload_params(
-        job.family, job.abbr, job.queries,
-        scale=job.scale, shards=job.shards, shard=job.shard,
-        metric=job.metric,
-    )
+    params = common.workload_params(job)
     wkey = params | {"variant": job.variant_label}
     config = job_config(job)
     config_sha = config.stable_hash()
@@ -661,12 +687,8 @@ def run_job(
         tentry = load_trace_entry(tkey)
         if tentry is not None:
             skey = stats_key(wkey, tentry["trace_sha"], config_sha)
-            cached = load_stats_entry(skey)
-            if cached is not None:
-                stats, payload = cached
-                cache_stats.hits += 1
-                if manifests_enabled() and payload.get("manifest"):
-                    _restamp_manifest(payload["manifest"])
+            stats = _stats_hit(skey)
+            if stats is not None:
                 return JobOutcome(
                     job, stats, True, time.perf_counter() - start, skey
                 )
@@ -698,17 +720,23 @@ def run_job(
 # ---------------------------------------------------------------------------
 
 
+#: Query budget of the ablation studies (``experiments/ablations.py``).
+ABLATION_QUERIES = 1024
+
+
 def ablation_jobs(smoke: bool = False) -> list[Job]:
     """The scheduler-policy + memory-idealization ablation family.
 
-    One HSU workload (BVH-NN R10K) swept over every warp-scheduler policy
-    and both idealized memory models, against the same GTO/real reference
-    point the main campaign already produces.  ``smoke=True`` shrinks the
-    query budget to the CI size.
+    One HSU workload (BVH-NN R10K at :data:`ABLATION_QUERIES`) swept over
+    every warp-scheduler policy and both idealized memory models; the
+    GTO/real job is the reference point of both sweeps.  These are the
+    jobs Ablation Tables D and E read, so ``--families ablations`` warms
+    exactly their cache entries.  ``smoke=True`` shrinks the query budget
+    to the CI size (the ``run_all --smoke`` ablation lines).
     """
     from repro.gpusim.config import MEMORY_MODELS, SCHEDULER_POLICIES
 
-    queries = 64 if smoke else None
+    queries = 64 if smoke else ABLATION_QUERIES
     jobs = [
         Job("bvhnn", "R10K", "hsu", queries=queries, scheduler=policy)
         for policy in SCHEDULER_POLICIES

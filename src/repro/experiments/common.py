@@ -10,13 +10,10 @@ GGNN runs with a 16-warp residency cap: its shared-memory priority cache
 bounds occupancy well below the architectural 64 warps (§V-A describes the
 per-query cache; our cap models the resulting occupancy limit).
 
-The historical entry points (``workload_run``, ``baseline_stats``,
-``hsu_stats``, ``simulate_recorded``) went through a deprecation cycle as
-shims over :func:`repro.api.simulate` / :func:`repro.api.run_workload` and
-have been removed — call the :mod:`repro.api` facade directly.  What lives
-here is the campaign *registry*: the family/dataset tables, query budgets,
-and per-family configurations that :mod:`repro.experiments.campaign` and
-:mod:`repro.api` key their caches on.
+What lives here is the campaign *registry*: the family/dataset tables,
+query budgets, and per-family configurations that
+:mod:`repro.experiments.campaign` and :mod:`repro.api` key their caches
+on, plus the paired default-design-point measurement the figures read.
 """
 
 from __future__ import annotations
@@ -25,6 +22,7 @@ from dataclasses import dataclass, replace
 
 from repro import api
 from repro.errors import ConfigError
+from repro.experiments.campaign import Job
 from repro.gpusim import GpuConfig, VOLTA_V100
 from repro.gpusim.stats import SimStats
 
@@ -41,10 +39,6 @@ ARKADE_DATASETS = FLANN_DATASETS
 
 #: The §V figure families (the paper's four workloads).
 FAMILIES = ("ggnn", "flann", "bvhnn", "btree")
-#: Every runnable family: the figure four plus the ``arkade`` metric
-#: family (campaigned through the ``metrics`` pseudo-family, not the
-#: default §V job set — the figures stay byte-stable).
-ALL_FAMILIES = FAMILIES + ("arkade",)
 
 #: Fig. 9 dataset label prefixes: the 3-D datasets are shared between FLANN
 #: and BVH-NN, distinguished by "F"/"B" prefixes in the paper's figures.
@@ -82,6 +76,8 @@ def config_for(family: str, base: GpuConfig | None = None) -> GpuConfig:
 
 
 def datasets_for(family: str) -> tuple[str, ...]:
+    """Datasets of a runnable family: the §V four, or ``arkade`` (the
+    metric family, campaigned through the ``metrics`` pseudo-family)."""
     table = {
         "ggnn": GGNN_DATASETS,
         "flann": FLANN_DATASETS,
@@ -110,16 +106,8 @@ def resolved_queries(family: str, abbr: str, queries: int | None = None) -> int:
     raise ConfigError(f"unknown workload family {family!r}")
 
 
-def workload_params(
-    family: str,
-    abbr: str,
-    queries: int | None = None,
-    scale: float = 1.0,
-    shards: int = 1,
-    shard: int = 0,
-    metric: str = "euclid",
-) -> dict[str, object]:
-    """The fully resolved workload key the campaign cache hashes.
+def workload_params(job: Job) -> dict[str, object]:
+    """The fully resolved workload key the campaign cache hashes for ``job``.
 
     Everything that parameterizes trace *generation* goes here — family,
     dataset, and the resolved query count — so changing a query budget in
@@ -128,51 +116,22 @@ def workload_params(
     docs/SHARDING.md) and the distance-metric axis (``metric`` — the
     ``arkade`` family, docs/WORKLOADS.md) are appended **only when
     non-default**, so every pre-existing cache key is byte-identical to
-    what it was before those axes existed.
+    what it was before those axes existed.  ``job`` checked every axis
+    when it was built.
     """
-    if family not in ALL_FAMILIES:
-        raise ConfigError(f"unknown workload family {family!r}")
-    if abbr not in datasets_for(family):
-        raise ConfigError(f"unknown {family} dataset {abbr!r}")
-    if (shards != 1 or scale != 1.0) and family != "bvhnn":
-        raise ConfigError(
-            f"sharded/scaled workloads are only lowered for the bvhnn "
-            f"family (got {family!r})"
-        )
-    if metric != "euclid":
-        from repro.metrics.transforms import validate_metric
-
-        validate_metric(metric, context=f"{family} workload")
-        if family != "arkade":
-            raise ConfigError(
-                f"non-Euclidean metrics are only lowered for the arkade "
-                f"family (got {family!r} with metric={metric!r})"
-            )
-    if shards < 1 or not 0 <= shard < shards:
-        raise ConfigError(
-            f"shard {shard} out of range for {shards} shard(s)"
-        )
-    if scale <= 0:
-        raise ConfigError(f"scale must be > 0, got {scale}")
     params: dict[str, object] = {
-        "family": family,
-        "dataset": abbr,
-        "num_queries": resolved_queries(family, abbr, queries),
+        "family": job.family,
+        "dataset": job.abbr,
+        "num_queries": resolved_queries(job.family, job.abbr, job.queries),
     }
-    if scale != 1.0:
-        params["scale"] = scale
-    if shards != 1:
-        params["shards"] = shards
-        params["shard"] = shard
-    if metric != "euclid":
-        params["metric"] = metric
+    if job.scale != 1.0:
+        params["scale"] = job.scale
+    if job.shards != 1:
+        params["shards"] = job.shards
+        params["shard"] = job.shard
+    if job.metric != "euclid":
+        params["metric"] = job.metric
     return params
-
-
-#: Non-deprecated infrastructure alias: the campaign runner and the golden
-#: tests lower through this exact memoized function (same lru cache as
-#: :func:`repro.api.trace_bundle` — they are the same object).
-trace_bundle = api.trace_bundle
 
 
 @dataclass(frozen=True)

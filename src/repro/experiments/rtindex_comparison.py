@@ -10,7 +10,7 @@ comparison isolates the data representation.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro import api
+from repro.experiments import campaign
 from repro.experiments.common import default_config
 from repro.workloads.base import to_traces
 from repro.workloads.rtindex import run_rtindex
@@ -25,13 +25,11 @@ def compute(num_keys: int = 8192, num_lookups: int = 2048) -> dict[str, object]:
     )
     config = default_config()
     abbr = f"K{num_keys}"
-    triangle_stats = api.simulate(
-        to_traces(triangle_run).hsu,
-        variant="triangle-keys", config=config, label=("rtindex", abbr),
+    triangle_stats = campaign.cached_simulate(
+        "rtindex", abbr, "triangle-keys", config, to_traces(triangle_run).hsu
     )
-    point_stats = api.simulate(
-        to_traces(point_run).hsu,
-        variant="point-keys", config=config, label=("rtindex", abbr),
+    point_stats = campaign.cached_simulate(
+        "rtindex", abbr, "point-keys", config, to_traces(point_run).hsu
     )
     return {
         "triangle_cycles": triangle_stats.cycles,

@@ -78,19 +78,13 @@ def smoke() -> str:
     from repro.experiments.common import config_for
     from repro.gpusim.observability import manifests_enabled, results_dir
     from repro.gpusim.report import diff_manifests, load_manifest, render_report
-    from repro.workloads import run_bvhnn, to_traces
 
-    from repro.gpusim.config import MEMORY_MODELS, SCHEDULER_POLICIES
-
-    smoke_label = ("smoke", "R10K")
-    bundle = to_traces(run_bvhnn("R10K", num_queries=64))
+    bundle = api.trace_bundle("bvhnn", "R10K", 64)
     config = config_for("bvhnn")
-    base = api.simulate(
-        bundle.baseline, variant="baseline", config=config, label=smoke_label
+    base = campaign.cached_simulate(
+        "smoke", "R10K", "baseline", config, bundle.baseline
     )
-    hsu = api.simulate(
-        bundle.hsu, variant="hsu", config=config, label=smoke_label
-    )
+    hsu = campaign.cached_simulate("smoke", "R10K", "hsu", config, bundle.hsu)
     lines = [
         f"baseline cycles: {base.cycles}",
         f"hsu cycles:      {hsu.cycles}",
@@ -98,20 +92,11 @@ def smoke() -> str:
         "",
         "component ablations (HSU trace):",
     ]
-    for policy in SCHEDULER_POLICIES:
-        stats = api.simulate(
-            bundle.hsu, variant=f"sched-{policy}",
-            config=config.with_scheduler(policy), label=smoke_label,
-        )
-        lines.append(f"  scheduler {policy:<12} cycles: {stats.cycles}")
-    for model in MEMORY_MODELS:
-        if model == "real":
-            continue
-        stats = api.simulate(
-            bundle.hsu, variant=f"mem-{model}",
-            config=config.with_memory(model), label=smoke_label,
-        )
-        lines.append(f"  memory    {model:<12} cycles: {stats.cycles}")
+    for row in ablations.scheduler_policies(smoke=True):
+        lines.append(f"  scheduler {row['policy']:<12} cycles: {row['hsu_cycles']}")
+    for row in ablations.memory_idealization(smoke=True):
+        if row["memory"] != "real":
+            lines.append(f"  memory    {row['memory']:<12} cycles: {row['hsu_cycles']}")
     if manifests_enabled():
         old = load_manifest(results_dir() / "smoke-r10k-baseline.json")
         new = load_manifest(results_dir() / "smoke-r10k-hsu.json")

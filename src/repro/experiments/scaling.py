@@ -21,18 +21,8 @@ the interconnect composition.
 from __future__ import annotations
 
 from repro.analysis.tables import format_table
-from repro.experiments.campaign import (
-    SCALING_DATASET,
-    SCALING_QUERIES,
-    SCALING_SCALES,
-    SCALING_SHARD_COUNTS,
-)
+from repro.experiments.campaign import SCALING_DATASET, scaling_jobs
 from repro.sharding import ShardedSimResult, simulate_sharded
-
-#: Shard counts of the smoke sweep (CI budget: one scale, two points).
-SMOKE_SHARD_COUNTS = (1, 2)
-SMOKE_SCALES = (1.0,)
-SMOKE_QUERIES = 96
 
 
 def compute(
@@ -42,19 +32,18 @@ def compute(
 ) -> list[ShardedSimResult]:
     """Run the sweep; one :class:`ShardedSimResult` per (scale, shards).
 
-    ``smoke`` shrinks the grid to the CI shape (matching
-    ``campaign.scaling_jobs(smoke=True)``, so both warm the same cache
-    entries); ``jobs_n`` is the per-point process-pool width.
+    The sweep points are those of ``campaign.scaling_jobs(smoke)``, so
+    both warm the same cache entries; ``jobs_n`` is the per-point
+    process-pool width.
     """
-    shard_counts = SMOKE_SHARD_COUNTS if smoke else SCALING_SHARD_COUNTS
-    scales = SMOKE_SCALES if smoke else SCALING_SCALES
-    queries = SMOKE_QUERIES if smoke else SCALING_QUERIES
+    points = dict.fromkeys(
+        (job.scale, job.shards, job.queries) for job in scaling_jobs(smoke)
+    )
     return [
         simulate_sharded(
             abbr, shards=shards, scale=scale, queries=queries, jobs_n=jobs_n
         )
-        for scale in scales
-        for shards in shard_counts
+        for scale, shards, queries in points
     ]
 
 

@@ -9,8 +9,8 @@ bit-identically to an unsharded reference — so it drops straight behind a
 :class:`Interconnect` models scatter/gather/merge costs alongside the
 simulator's Scheduler/MemorySystem plug-ins, :class:`ShardingMetrics`
 registers ``sharding/*`` observability, and :func:`simulate_sharded`
-drives per-shard ``repro.api.simulate`` runs through the campaign
-runner's process pool for the scaling-curve experiment.
+runs one campaign ``Job`` per shard through the campaign runner's process
+pool for the scaling-curve experiment.
 
 ``docs/SHARDING.md`` is the operator guide (partitioner choices, merge
 semantics, interconnect cost model, scaling recipe).

@@ -2,11 +2,13 @@
 
 :func:`simulate_sharded` is the scaling experiment's engine.  One sweep
 point (dataset × scale × shard count) becomes one campaign
-:class:`~repro.experiments.campaign.Job` **per shard** — each a full
-``repro.api.simulate`` run of that device's partition trace — executed
-through :func:`repro.experiments.campaign.execute`, so the campaign's
-process pool is the shard executor and its persistent cache makes warm
-sweeps free.  Devices run concurrently, so the modeled batch time is::
+:class:`~repro.experiments.campaign.Job` **per shard** — the job
+``repro.api.simulate`` would build for that device's partition trace —
+executed through :func:`repro.experiments.campaign.execute`, so the
+campaign's process pool is the shard executor and its persistent cache
+makes warm sweeps free.  The Job checks the point's axes when it is
+built; this module keeps no checks of its own.  Devices run
+concurrently, so the modeled batch time is::
 
     total = max(shard cycles)            # the slowest device (makespan)
           + scatter + gather cycles      # Interconnect critical path
@@ -22,9 +24,7 @@ exactly, and docs/SHARDING.md walks the recipe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from repro.errors import ConfigError
 from repro.sharding.index import COORD_BYTES, RESULT_BYTES
@@ -65,11 +65,8 @@ def _query_counts(abbr: str, scale: float, shards: int,
     batch — replayed bit-identically to the per-shard workload traces."""
     from repro.workloads import bvhnn
 
-    points, radius, shard_ids = bvhnn._sharded_parts(abbr, scale, 0, shards)
-    rng = np.random.default_rng(1)  # run_bvhnn(_sharded) uses seed + 1
-    picks = rng.choice(points.shape[0], size=queries, replace=True)
-    batch = points[picks] + rng.normal(scale=radius * 0.3,
-                                       size=(queries, 3))
+    points, radius, _shard_ids = bvhnn._sharded_parts(abbr, scale, 0, shards)
+    batch = bvhnn.query_stream(points, radius, queries, seed=0)
     results = []
     for shard in range(shards):
         index = bvhnn._build_shard(abbr, scale, 0, shards, shard)
@@ -99,24 +96,14 @@ def simulate_sharded(
     Pass a :class:`~repro.sharding.metrics.ShardingMetrics` to publish the
     point under ``sharding/<label>/...``.
     """
-    from repro import api
     from repro.experiments import campaign
 
-    # Same eager kwarg validation (and the same single ConfigError path)
-    # as repro.api.simulate — a bad axis never reaches the process pool.
-    api.validate_simulate_args(
-        variant=variant, scale=scale, shards=shards, shard=0
+    # Building shard 0's Job checks every axis (the shard count included),
+    # so a bad point raises ConfigError before it reaches the process pool.
+    first = campaign.Job(
+        "bvhnn", abbr, variant, queries=queries, scale=scale, shards=shards
     )
-    if queries < 1:
-        raise ConfigError(f"queries must be >= 1, got {queries}")
-
-    jobs = [
-        campaign.Job(
-            "bvhnn", abbr, variant, queries=queries,
-            scale=scale, shards=shards, shard=shard,
-        )
-        for shard in range(shards)
-    ]
+    jobs = [replace(first, shard=shard) for shard in range(shards)]
     run_label = label or f"scaling-{abbr.replace('+', '')}-x{scale:g}-" \
         f"n{shards}".lower()
     summary = campaign.execute(jobs, jobs_n=jobs_n, label=run_label)

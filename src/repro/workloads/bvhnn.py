@@ -125,6 +125,25 @@ def _cached_radius(abbr: str, scale: float, seed: int,
     return radius
 
 
+def query_stream(
+    points: np.ndarray, radius: float, num_queries: int, seed: int = 0
+) -> np.ndarray:
+    """The BVH-NN query batch: ``num_queries`` perturbed dataset points.
+
+    Queries sit near the data manifold, so traversal reaches leaves (pure
+    generator queries can fall far off the surface).  The one definition
+    of the stream: :func:`run_bvhnn`, every shard of
+    :func:`run_bvhnn_sharded`, and the sharded simulation's interconnect
+    replay (:mod:`repro.sharding.simulate`) all draw it from here, so they
+    see bit-identical batches.
+    """
+    rng = np.random.default_rng(seed + 1)
+    picks = rng.choice(points.shape[0], size=num_queries, replace=True)
+    return points[picks] + rng.normal(
+        scale=radius * 0.3, size=(num_queries, 3)
+    )
+
+
 @lru_cache(maxsize=16)
 def _build(abbr: str, scale: float, seed: int, builder: str, arity: int):
     dataset = load_dataset(abbr, num_queries=512, scale=scale, seed=seed)
@@ -157,13 +176,8 @@ def run_bvhnn(
     from repro.workloads.base import WorkloadRun
 
     dataset, index = _build(abbr, scale, seed, builder, arity)
-    points = index.points
     radius = index.radius
-    # Queries near the data manifold: perturbed dataset points, so traversal
-    # reaches leaves (pure generator queries can fall far off the surface).
-    rng = np.random.default_rng(seed + 1)
-    picks = rng.choice(points.shape[0], size=num_queries, replace=True)
-    queries = points[picks] + rng.normal(scale=radius * 0.3, size=(num_queries, 3))
+    queries = query_stream(index.points, radius, num_queries, seed)
     if sort_queries:
         from repro.geometry.morton import morton_encode_points
 
@@ -318,13 +332,8 @@ def run_bvhnn_sharded(
             f"scale {scale:g}; lower the shard count"
         )
     index = _build_shard(abbr, scale, seed, shards, shard)
-    # The same near-manifold query stream as the unsharded run: drawn from
-    # the FULL dataset, so every shard broadcasts an identical batch.
-    rng = np.random.default_rng(seed + 1)
-    picks = rng.choice(points.shape[0], size=num_queries, replace=True)
-    queries = points[picks] + rng.normal(
-        scale=radius * 0.3, size=(num_queries, 3)
-    )
+    # Drawn from the FULL dataset, so every shard broadcasts one batch.
+    queries = query_stream(points, radius, num_queries, seed)
 
     result = index.query_batch(queries, record_events=True)
     log = result.events

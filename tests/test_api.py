@@ -1,9 +1,10 @@
 """The ``repro.api.simulate`` facade.
 
-Covers the api_redesign contract: every input shape (named workload,
-``WorkloadRun``, ``TraceBundle``, ``KernelTrace``) simulates to the same
-``SimStats``, and the per-call ``cache=`` override is scoped to the
-call.
+A named simulation is one campaign ``Job``: ``simulate`` accepts only a
+``(family, abbr)`` tuple, hands its keyword axes to ``Job`` (which checks
+them before any workload runs), matches the recorded-trace path
+(``campaign.cached_simulate``) bit for bit, and scopes its ``cache=``
+override to the call.
 """
 
 import pytest
@@ -13,7 +14,7 @@ from repro.compiler.ops import WarpOp
 from repro.errors import ConfigError
 from repro.experiments import campaign, common
 from repro.gpusim import KernelTrace, WarpInstr, WarpTrace
-from repro.workloads import WorkloadRun, run_btree, to_traces
+from repro.workloads import TraceBundle, WorkloadRun
 
 FAMILY, ABBR, QUERIES = "btree", "B+10K", 32
 
@@ -29,6 +30,19 @@ def isolated_cache(tmp_path, monkeypatch):
     api.clear_caches()
 
 
+@pytest.fixture
+def no_workload():
+    """Fail the test if any workload executes (undone before
+    ``isolated_cache`` clears the memoized ``run_workload``)."""
+
+    def never(*args, **kwargs):
+        raise AssertionError("a workload ran past validation")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(api, "run_workload", never)
+        yield
+
+
 def _probe_kernel():
     return KernelTrace(
         warps=[WarpTrace(instructions=[WarpInstr("alu", repeat=8)])],
@@ -37,25 +51,14 @@ def _probe_kernel():
 
 
 class TestWorkloadSpecs:
-    def test_tuple_string_and_dataclass_specs_agree(self):
-        via_tuple = api.simulate(
-            (FAMILY, ABBR), variant="baseline", queries=QUERIES
-        )
-        via_string = api.simulate(
-            f"{FAMILY}/{ABBR}", variant="baseline", queries=QUERIES
-        )
-        via_spec = api.simulate(
-            api.Workload(FAMILY, ABBR, QUERIES), variant="baseline"
-        )
-        assert via_tuple == via_string == via_spec
-
     def test_queries_kwarg_overrides_spec(self):
-        small = api.simulate(
-            api.Workload(FAMILY, ABBR, 64), variant="baseline", queries=QUERIES
-        )
-        direct = api.simulate((FAMILY, ABBR), variant="baseline",
-                              queries=QUERIES)
-        assert small == direct
+        """``queries=`` reaches the Job: the call warms exactly the cache
+        entry of the campaign job with that query budget."""
+        job = campaign.Job(FAMILY, ABBR, "baseline", queries=QUERIES)
+        via_api = api.simulate((FAMILY, ABBR), variant="baseline",
+                               queries=QUERIES)
+        outcome = campaign.run_job(job)
+        assert outcome.cached and outcome.stats == via_api
 
     def test_unrecognized_spec_is_rejected(self):
         with pytest.raises(ConfigError):
@@ -63,31 +66,33 @@ class TestWorkloadSpecs:
         with pytest.raises(ConfigError):
             api.simulate("no-slash-here")
 
-    def test_recorded_trace_requires_config(self):
-        with pytest.raises(ConfigError):
-            api.simulate(_probe_kernel(), variant="v")
+    def test_only_a_family_abbr_tuple_is_accepted(self, no_workload):
+        """Every other input shape and keyword fails before a workload runs."""
+        run = WorkloadRun("probe", "parallel", [[WarpOp("TAlu", (), 32, a=1)]])
+        kernel = _probe_kernel()
+        for workload in (
+            kernel, TraceBundle(kernel, kernel), run, f"{FAMILY}/{ABBR}",
+            [FAMILY, ABBR], (FAMILY, ABBR, QUERIES),
+        ):
+            with pytest.raises(ConfigError, match="tuple"):
+                api.simulate(workload, variant="hsu")
+        for extra in (
+            {"config": common.config_for(FAMILY)},
+            {"label": (FAMILY, ABBR)},
+            {"turbo": True},
+        ):
+            with pytest.raises(TypeError):
+                api.simulate((FAMILY, ABBR), **extra)
 
 
 class TestInputShapeEquivalence:
-    def test_run_bundle_and_kernel_paths_agree(self):
-        run = run_btree(ABBR, num_queries=QUERIES)
-        bundle = to_traces(run)
-        config = common.config_for(FAMILY)
-        via_run = api.simulate(run, variant="hsu", config=config,
-                               label=(FAMILY, ABBR))
-        via_bundle = api.simulate(bundle, variant="hsu", config=config,
-                                  label=(FAMILY, ABBR))
-        via_kernel = api.simulate(bundle.hsu, variant="hsu", config=config,
-                                  label=(FAMILY, ABBR))
-        assert via_run == via_bundle == via_kernel
-
     def test_named_path_matches_recorded_path(self):
         named = api.simulate((FAMILY, ABBR), variant="baseline",
                              queries=QUERIES)
         bundle = api.trace_bundle(FAMILY, ABBR, QUERIES)
-        recorded = api.simulate(
-            bundle.baseline, variant="baseline",
-            config=common.config_for(FAMILY), label=(FAMILY, ABBR),
+        recorded = campaign.cached_simulate(
+            FAMILY, ABBR, "baseline", common.config_for(FAMILY),
+            bundle.baseline,
         )
         assert named == recorded
 
@@ -110,36 +115,26 @@ class TestCacheOverride:
         assert rebuilt == cold
         assert campaign.cache_mode() == "on"
 
-    def test_invalid_mode_is_rejected(self):
+    def test_invalid_mode_is_rejected(self, no_workload):
         with pytest.raises(ConfigError):
             api.simulate((FAMILY, ABBR), cache="sometimes")
+        assert campaign.cache_mode() == "on"
 
     @pytest.mark.parametrize("width", [0, -4, 7])
-    def test_invalid_euclid_width_is_rejected(self, width, monkeypatch):
+    def test_invalid_euclid_width_is_rejected(self, width, no_workload):
         """A width that is not a positive even number fails before any
-        workload runs or lowers, for a named workload and a WorkloadRun."""
-
-        def never(*args, **kwargs):
-            raise AssertionError("ran past validation")
-
-        monkeypatch.setattr(api, "_simulate_named", never)
-        monkeypatch.setattr(api, "to_traces", never)
-        run = WorkloadRun("probe", "parallel", [[WarpOp("TAlu", (), 32, a=1)]])
-        for workload in (("ggnn", "S10K"), run):
-            with pytest.raises(ConfigError, match="euclid_width"):
-                api.simulate(workload, euclid_width=width,
-                             config=common.config_for(FAMILY))
+        workload runs or lowers."""
+        with pytest.raises(ConfigError, match="euclid_width"):
+            api.simulate(("ggnn", "S10K"), euclid_width=width)
 
 
 class TestRemovedShims:
-    """The PR-4 deprecation shims are gone; only the infrastructure alias
-    survives in ``repro.experiments.common``."""
+    """The historical entry points in ``repro.experiments.common`` are
+    gone, the ``trace_bundle`` alias included: call :mod:`repro.api`."""
 
     @pytest.mark.parametrize("shim", [
         "workload_run", "baseline_stats", "hsu_stats", "simulate_recorded",
+        "trace_bundle",
     ])
     def test_shims_are_removed(self, shim):
         assert not hasattr(common, shim)
-
-    def test_trace_bundle_alias_survives(self):
-        assert common.trace_bundle is api.trace_bundle

@@ -361,7 +361,6 @@ class TestLoweredTraces:
         from pathlib import Path
 
         from repro import api
-        from repro.experiments.common import trace_bundle
 
         # Regenerate rather than reuse a memoized bundle, so the pin
         # covers a fresh run of the batched pipeline.
@@ -371,7 +370,7 @@ class TestLoweredTraces:
             .read_text()
         )
         for family, abbr in [("bvhnn", "R10K"), ("flann", "R10K")]:
-            bundle = trace_bundle(family, abbr, 64)
+            bundle = api.trace_bundle(family, abbr, 64)
             for variant, kernel in (("baseline", bundle.baseline),
                                     ("hsu", bundle.hsu)):
                 key = f"{family}-{abbr}-{variant}"

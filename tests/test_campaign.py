@@ -256,7 +256,7 @@ class TestIngest:
 
     def test_stale_trace_entry_is_the_only_rewrite(self, monkeypatch):
         campaign.execute(BVHNN_GROUP, jobs_n=1, label="cold")
-        params = common.workload_params("bvhnn", "R10K", 32)
+        params = common.workload_params(BVHNN_BASE)
         path = campaign._trace_path(campaign.trace_key(params, "hsu", 16))
         fresh = path.read_text()
         stale = json.loads(fresh) | {"trace_sha": "0" * 40}
@@ -305,8 +305,16 @@ class TestExecute:
         for job in jobs:
             assert parallel.stats_for(job) == serial.stats_for(job)
 
-    def test_failed_job_reported_without_aborting(self):
-        bad = campaign.Job("btree", "NOPE", "baseline")
+    def test_failed_job_reported_without_aborting(self, monkeypatch):
+        bad = campaign.Job("btree", "B+1M", "baseline", queries=32)
+        job_trace = campaign.job_trace
+
+        def crashing(job):
+            if job == bad:
+                raise RuntimeError("workload crashed")
+            return job_trace(job)
+
+        monkeypatch.setattr(campaign, "job_trace", crashing)
         summary = campaign.execute([BTREE_BASE, bad], jobs_n=1, label="mixed")
         assert not summary.ok
         assert [r.job for r in summary.failed] == [bad]
@@ -346,6 +354,57 @@ class TestExecute:
         with pytest.raises(ConfigError, match="euclid_width"):
             campaign.Job("ggnn", "S10K", "hsu", euclid_width=width)
 
+    @pytest.mark.parametrize("family, abbr, axes, match", [
+        ("nope", "R10K", {}, "unknown workload family"),
+        ("btree", "NOPE", {}, "unknown btree dataset"),
+        ("btree", "B+10K", {"queries": 0}, "queries must be >= 1"),
+        ("ggnn", "S10K", {"shards": 2}, "bvhnn"),
+        ("flann", "R10K", {"metric": "l1"}, "arkade"),
+    ])
+    def test_job_rejects_bad_axes_at_construction(self, family, abbr, axes,
+                                                  match):
+        with pytest.raises(ConfigError, match=match):
+            campaign.Job(family, abbr, "hsu", **axes)
+
+
+class TestAblationJobs:
+    """Ablation Tables D and E read the ``--families ablations`` jobs."""
+
+    #: Table D: policy -> (HSU cycles, L1 misses), and Table E: memory
+    #: model -> (HSU cycles, DRAM accesses), as printed before the tables
+    #: read these jobs (when they re-simulated a recorded 1,024-query
+    #: trace).
+    TABLE_D = {"gto": (280641, 22052), "lrr": (280352, 22039),
+               "oldest": (280472, 22060)}
+    TABLE_E = {"real": (280641, 7389), "perfect_l1": (63657, 0),
+               "perfect_dram": (239341, 7389)}
+
+    def test_tables_read_only_the_warmed_entries(self):
+        from repro.experiments import ablations
+
+        jobs = campaign.ablation_jobs()
+        assert {job.queries for job in jobs} == {campaign.ABLATION_QUERIES}
+        summary = campaign.execute(jobs, jobs_n=1, label="ablations")
+        assert summary.ok and summary.misses == len(jobs)
+        _clear_process_caches()
+        ablations.scheduler_policies.cache_clear()
+        ablations.memory_idealization.cache_clear()
+        before = campaign.cache_stats.snapshot()
+        try:
+            table_d = ablations.scheduler_policies()
+            table_e = ablations.memory_idealization()
+        finally:
+            ablations.scheduler_policies.cache_clear()
+            ablations.memory_idealization.cache_clear()
+        delta = campaign.cache_stats.delta(before)
+        assert (delta.hits, delta.misses) == (len(jobs), 0)
+        assert {
+            r["policy"]: (r["hsu_cycles"], r["l1_misses"]) for r in table_d
+        } == self.TABLE_D
+        assert {
+            r["memory"]: (r["hsu_cycles"], r["dram_accesses"]) for r in table_e
+        } == self.TABLE_E
+
 
 class TestViews:
     def test_named_simulate_is_a_cache_view(self):
@@ -362,13 +421,9 @@ class TestViews:
             name="view-probe",
         )
         config = GpuConfig(num_sms=1)
-        first = api.simulate(
-            kernel, variant="v", config=config, label=("probe", "X")
-        )
+        first = campaign.cached_simulate("probe", "X", "v", config, kernel)
         before = campaign.cache_stats.snapshot()
-        second = api.simulate(
-            kernel, variant="v", config=config, label=("probe", "X")
-        )
+        second = campaign.cached_simulate("probe", "X", "v", config, kernel)
         assert second == first
         assert campaign.cache_stats.delta(before).hits == 1
 

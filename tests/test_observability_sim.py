@@ -8,7 +8,7 @@ manifest stamping, and the DRAM row-locality consistency invariants.
 
 import pytest
 
-from repro import api
+from repro.experiments import campaign
 from repro.gpusim import GpuSimulator, SimStats, TimelineTracer, VOLTA_V100
 from repro.gpusim.observability import load_manifest
 from repro.workloads.base import to_traces
@@ -161,9 +161,8 @@ class TestManifestFromExperiments:
     def test_fig_experiment_manifest_matches_simstats(self, bundle, tmp_path,
                                                       monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
-        stats = api.simulate(
-            bundle.hsu, variant="hsu", config=CFG, label=("rtindex", "T512")
-        )
+        stats = campaign.cached_simulate("rtindex", "T512", "hsu", CFG,
+                                         bundle.hsu)
         manifest = load_manifest(tmp_path / "rtindex-t512-hsu.json")
         for field_name in (
             "cycles", "l1_accesses", "l1_misses", "l2_accesses",
@@ -183,7 +182,5 @@ class TestManifestFromExperiments:
     def test_manifests_can_be_disabled(self, bundle, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_MANIFESTS", "0")
-        api.simulate(
-            bundle.hsu, variant="off", config=CFG, label=("rtindex", "T512")
-        )
+        campaign.cached_simulate("rtindex", "T512", "off", CFG, bundle.hsu)
         assert not list(tmp_path.glob("*.json"))

@@ -253,40 +253,38 @@ class TestQueryBlock:
 
 
 class TestSimulateValidation:
-    """The eager, single-path kwarg validation on the api surface."""
+    """One check of the simulation axes: ``campaign.Job`` construction,
+    which ``api.simulate`` and ``simulate_sharded`` both go through."""
 
     def test_every_axis_rejects_eagerly(self):
-        from repro import api
+        from repro.experiments.campaign import Job
 
         bad = [
-            dict(variant="turbo"),
-            dict(config="not-a-config"),
-            dict(cache="sometimes"),
-            dict(scale=0.0),
-            dict(shards=0),
-            dict(shards=2, shard=2),
-            dict(metric="l2"),
+            ("bvhnn", "R10K", dict(variant="turbo")),
+            ("bvhnn", "R10K", dict(scale=0.0)),
+            ("bvhnn", "R10K", dict(shards=0)),
+            ("bvhnn", "R10K", dict(shards=2, shard=2)),
+            ("arkade", "R10K", dict(metric="l2")),
+            ("nope", "R10K", dict()),
+            ("ggnn", "R10K", dict()),
+            ("btree", "B+10K", dict(queries=0)),
+            ("ggnn", "S10K", dict(shards=2)),
+            ("flann", "R10K", dict(scale=2.0)),
+            ("flann", "R10K", dict(metric="l1")),
+            ("bvhnn", "R10K", dict(shards=4, metric="cosine")),
         ]
-        for kwargs in bad:
+        for family, abbr, kwargs in bad:
+            axes = {"variant": "hsu", **kwargs}
             with pytest.raises(ConfigError):
-                api.validate_simulate_args(**kwargs)
+                Job(family, abbr, **axes)
 
     def test_valid_surface_passes(self):
-        from repro import api
-        from repro.gpusim import VOLTA_V100
+        from repro.experiments.campaign import Job
 
-        api.validate_simulate_args(
-            variant="baseline", config=VOLTA_V100, cache="off",
-            scale=2.0, shards=4, shard=3,
-            metric="cosine",
-        )
-
-    def test_named_false_relaxes_the_variant_check(self):
-        from repro import api
-
-        api.validate_simulate_args(variant="sched-lrr", named=False)
-        with pytest.raises(ConfigError):
-            api.validate_simulate_args(variant="sched-lrr", named=True)
+        Job("bvhnn", "R10K", "baseline", scale=2.0, shards=4, shard=3,
+            queries=1)
+        Job("arkade", "R10K", "hsu", metric="cosine")
+        Job("ggnn", "S10K", "hsu", euclid_width=32, warp_buffer=1)
 
     def test_simulate_rejects_before_running_any_workload(self):
         from repro import api

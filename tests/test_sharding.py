@@ -434,7 +434,7 @@ class TestCampaignIntegration:
 
         job = Job("bvhnn", "R10K", "hsu", queries=64)
         assert job.run_id == "bvhnn-r10k-hsu-wb8-ew16-q64"
-        params = workload_params("bvhnn", "R10K", 64)
+        params = workload_params(job)
         assert "scale" not in params
         assert "shards" not in params
 
@@ -445,13 +445,12 @@ class TestCampaignIntegration:
         job = Job("bvhnn", "R10K", "hsu", queries=64, scale=10.0,
                   shards=4, shard=2)
         assert job.run_id == "bvhnn-r10k-hsu-wb8-ew16-x10-s2of4-q64"
-        params = workload_params("bvhnn", "R10K", 64, scale=10.0,
-                                 shards=4, shard=2)
+        params = workload_params(job)
         assert params["scale"] == 10.0
         assert params["shards"] == 4
         assert params["shard"] == 2
         with pytest.raises(ConfigError):
-            workload_params("ggnn", "S10K", 64, shards=2)
+            Job("ggnn", "S10K", "hsu", queries=64, shards=2)
         with pytest.raises(ConfigError):
             Job("bvhnn", "R10K", "hsu", shards=2, shard=2)
 

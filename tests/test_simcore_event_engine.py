@@ -252,7 +252,8 @@ class TestEngineMatchesReference:
     def test_reproduces_committed_golden(self):
         """Golden pin: the engine must land on the committed
         ``gpusim_smoke.json`` stats bit-exactly."""
-        from repro.experiments.common import config_for, trace_bundle
+        from repro.api import trace_bundle
+        from repro.experiments.common import config_for
 
         golden_path = (
             Path(__file__).resolve().parent / "goldens" / "gpusim_smoke.json"
