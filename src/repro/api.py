@@ -17,10 +17,12 @@ and manifests with the campaign CLI.  A recorded, pre-lowered
 it under an explicit config with
 :func:`repro.experiments.campaign.cached_simulate`.
 
-The module also holds the per-process memoization the campaign's workers
-share: :func:`run_workload` executes a workload once, and
-:func:`trace_bundle` / :func:`sharded_trace_bundle` hold its lowered
-traces.
+The module also memoizes the last workload run (:func:`run_workload`)
+and the last lowered traces (:func:`trace_bundle` /
+:func:`sharded_trace_bundle`), which consecutive calls on one workload
+reuse.  A campaign runs one workload group at a time and empties these
+memos when each group ends (:func:`release_workloads`), so a finished
+group's run and traces do not outlive it.
 """
 
 from __future__ import annotations
@@ -38,16 +40,18 @@ __all__ = [
     "run_workload",
     "trace_bundle",
     "sharded_trace_bundle",
+    "release_workloads",
     "clear_caches",
 ]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def run_workload(
     family: str, abbr: str, queries: int | None = None,
     metric: str = "euclid",
 ) -> WorkloadRun:
-    """Execute one named workload once per process (memoized).
+    """Execute one named workload (memoized: the last run, which
+    :func:`trace_bundle` lowers again at each Fig. 10 width).
 
     ``metric`` selects the distance metric for the ``arkade`` family
     (every other family is Euclidean-only — see docs/WORKLOADS.md).  The
@@ -85,7 +89,7 @@ def run_workload(
     raise ConfigError(f"unknown workload family {family!r}")
 
 
-@lru_cache(maxsize=2)
+@lru_cache(maxsize=1)
 def trace_bundle(
     family: str,
     abbr: str,
@@ -93,13 +97,13 @@ def trace_bundle(
     euclid_width: int = EUCLID_WIDTH,
     metric: str = "euclid",
 ) -> TraceBundle:
-    """Lowered paired traces for one named workload (small per-process
-    cache — GGNN bundles are large)."""
+    """Lowered paired traces for one named workload (memoized: the last
+    bundle, whose baseline and HSU jobs run back to back)."""
     run = run_workload(family, abbr, queries, metric)
     return to_traces(run, euclid_width=euclid_width)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def sharded_trace_bundle(
     abbr: str,
     queries: int | None = None,
@@ -135,12 +139,23 @@ def _job_stats(job: campaign.Job) -> SimStats:
     return campaign.run_job(job).stats
 
 
+#: The memos :func:`release_workloads` empties, bound here so that a
+#: wrapper installed over a module name (a tracer's) cannot hide them.
+_WORKLOAD_MEMOS = (run_workload, trace_bundle, sharded_trace_bundle)
+
+
+def release_workloads() -> None:
+    """Empty the memos of workload runs and trace bundles; the campaign
+    calls this when a workload group's last job ends.  The process-lifetime
+    memos of built datasets, indexes and graphs are kept."""
+    for memo in _WORKLOAD_MEMOS:
+        memo.cache_clear()
+
+
 def clear_caches() -> None:
     """Drop the process-level memoization (workload runs, trace bundles,
     job stats).  The persistent on-disk campaign cache is unaffected."""
-    run_workload.cache_clear()
-    trace_bundle.cache_clear()
-    sharded_trace_bundle.cache_clear()
+    release_workloads()
     _job_stats.cache_clear()
 
 

@@ -9,13 +9,14 @@ job graph:
   (family, dataset, variant, design point),
 * jobs execute across a ``ProcessPoolExecutor`` (``--jobs N``), grouped by
   workload so each worker runs a workload once and simulates all of its
-  variants,
+  variants, and a process holds one workload group in memory at a time,
 * every result lands in a persistent content-addressed cache under
   ``results/cache/`` keyed by (workload key, trace fingerprint,
   ``GpuConfig`` hash, cache schema version), storing the serialized
   :class:`~repro.gpusim.stats.SimStats` plus the run-manifest snapshot,
-* each job gets a timeout and a single retry, and a failed job is reported
-  in the campaign summary without aborting the rest.
+* each job gets a timeout and a single retry, and a failed job (or a
+  worker that dies) is reported in the campaign summary without aborting
+  the rest.
 
 Two cache tiers live under the cache directory (see ``docs/CAMPAIGN.md``
 for the layout and the invalidation rules):
@@ -39,7 +40,8 @@ that already holds the same bytes untouched.
 
 Within a campaign each trace is ingested once (:class:`TraceIngest`): the
 design points that share a trace reuse its fingerprint and, per pack key,
-its SoA pack.  ``python -m repro.experiments.campaign``
+its SoA pack, and the group's run, traces and pack are released when its
+last job ends.  ``python -m repro.experiments.campaign``
 runs the default §V campaign from the command line; ``run_all`` uses the
 same machinery to prewarm the cache before rendering the figures.
 """
@@ -52,7 +54,9 @@ import json
 import os
 import sys
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -185,8 +189,8 @@ class Job:
     euclid_width: int = EUCLID_WIDTH
     #: Override the family's default query count (smoke/test campaigns).
     queries: int | None = None
-    #: Warp-scheduler policy and memory model (the ablation-family axes);
-    #: validated by ``GpuConfig`` when the job's config is built.
+    #: Warp-scheduler policy and memory model (the ablation-family axes):
+    #: names from ``gpusim.config.SCHEDULER_POLICIES`` / ``MEMORY_MODELS``.
     scheduler: str = "gto"
     memory: str = "real"
     #: Multi-device axes (the ``scaling`` pseudo-family, bvhnn only):
@@ -203,10 +207,21 @@ class Job:
 
     def __post_init__(self) -> None:
         from repro.experiments.common import datasets_for  # the registry
+        from repro.gpusim.config import MEMORY_MODELS, SCHEDULER_POLICIES
 
         if self.variant not in _VARIANTS:
             raise ConfigError(
                 f"unknown variant {self.variant!r} (want one of {_VARIANTS})"
+            )
+        if self.scheduler not in SCHEDULER_POLICIES:
+            raise ConfigError(
+                f"unknown scheduler policy {self.scheduler!r} "
+                f"(want one of {SCHEDULER_POLICIES})"
+            )
+        if self.memory not in MEMORY_MODELS:
+            raise ConfigError(
+                f"unknown memory model {self.memory!r} "
+                f"(want one of {MEMORY_MODELS})"
             )
         if self.abbr not in datasets_for(self.family):
             raise ConfigError(f"unknown {self.family} dataset {self.abbr!r}")
@@ -588,19 +603,21 @@ def _warm_workload_module(family: str) -> None:
 
 
 class TraceIngest:
-    """The one trace a campaign holds ingested: its fingerprint and pack.
+    """One workload group in memory: the trace its jobs simulate, that
+    trace's fingerprint and pack, and (through the api memos) its run.
 
-    The jobs of a workload group simulate the two traces of one
-    process-cached bundle (:func:`repro.api.trace_bundle` or
+    The jobs of a workload group simulate the two traces of one memoized
+    bundle (:func:`repro.api.trace_bundle` or
     :func:`repro.api.sharded_trace_bundle`) under several configs, so
     :func:`run_job` fingerprints each trace once and
     :meth:`pack` lowers it once per pack key
     (:data:`repro.gpusim.soa.PACK_FIELDS`) instead of once per job.  At
     most one trace is held, with at most one
     :class:`~repro.gpusim.soa.PackedKernel`; both are released before
-    the next trace is fetched.  :func:`execute` makes one per serial
-    campaign and one per pool group; a :func:`run_job` without one
-    ingests afresh.
+    the next trace is fetched.  Leaving the ``with`` block that
+    :func:`execute` opens per group (serial or in a pool worker) calls
+    :meth:`release`; a :func:`run_job` without an ingest ingests afresh
+    and leaves the api memos to its caller.
     """
 
     def __init__(self) -> None:
@@ -608,6 +625,21 @@ class TraceIngest:
         self._kernel: KernelTrace | None = None
         self._trace_sha = ""
         self._packed: PackedKernel | None = None
+
+    def __enter__(self) -> TraceIngest:
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.release()
+
+    def release(self) -> None:
+        """Drop the held trace and pack and empty the api memos that hold
+        the group's run and bundle
+        (:func:`repro.api.release_workloads`)."""
+        from repro import api  # deferred: the facade wires onto us
+
+        self._source = self._kernel = self._packed = None
+        api.release_workloads()
 
     def fetch(self, job: Job) -> tuple[KernelTrace, str]:
         """``job``'s trace and its fingerprint: the held ones if ``job``
@@ -629,7 +661,7 @@ class TraceIngest:
 
 
 def job_trace(job: Job) -> KernelTrace:
-    """The job's trace, from its process-cached bundle
+    """The job's trace, from its memoized bundle
     (:func:`repro.api.trace_bundle` or
     :func:`repro.api.sharded_trace_bundle`)."""
     from repro import api  # deferred: the facade wires onto us
@@ -666,7 +698,7 @@ def run_job(
     Fast path (warm): the trace-tier entry maps the job's workload
     parameters to a trace fingerprint without executing the workload; the
     stats tier then supplies the result.  Cold path: execute the workload
-    (process-local ``lru_cache`` shares it across the group's jobs),
+    (the api memos share the run and its bundle across the group's jobs),
     lower, fingerprint, simulate, and populate both tiers.  ``ingest``
     carries the trace, fingerprint and pack over from the previous job
     when this job simulates the same trace.
@@ -842,13 +874,7 @@ def default_jobs(families: tuple[str, ...] | None = None) -> list[Job]:
         for abbr in datasets:
             for size in fig11_warp_buffer.SIZES:
                 jobs.append(Job(family, abbr, "hsu", warp_buffer=size))
-    seen: set[Job] = set()
-    unique = []
-    for job in jobs:
-        if job not in seen:
-            seen.add(job)
-            unique.append(job)
-    return unique
+    return list(dict.fromkeys(jobs))
 
 
 def smoke_jobs() -> list[Job]:
@@ -884,8 +910,14 @@ def _worker(
     if not manifests:
         os.environ["REPRO_MANIFESTS"] = "0"
     set_cache_mode(mode)
-    ingest = TraceIngest()
-    return [_run_recorded(job, ingest) for job in jobs]
+    return _run_group(jobs)
+
+
+def _run_group(jobs: tuple[Job, ...]) -> list[JobRecord]:
+    """Run one workload group's jobs, then release the group: nothing of
+    its run, traces or pack outlives its last job."""
+    with TraceIngest() as ingest:
+        return [_run_recorded(job, ingest) for job in jobs]
 
 
 def _run_recorded(job: Job, ingest: TraceIngest) -> JobRecord:
@@ -1020,14 +1052,19 @@ def write_campaign_manifest(summary: CampaignSummary) -> Path:
 
 
 def _group_jobs(jobs: list[Job]) -> list[tuple[Job, ...]]:
+    """The distinct ``jobs`` by workload group, largest group first (for
+    load balance across the pool).  Within a group the jobs of one
+    Fig. 10 width run back to back, baseline first, so a group lowers and
+    ingests each trace once."""
     groups: dict[tuple, list[Job]] = {}
-    for job in jobs:
+    for job in dict.fromkeys(jobs):
         groups.setdefault(job.group, []).append(job)
-    # Largest groups first: better load balance across the pool.
-    return [
-        tuple(group)
-        for group in sorted(groups.values(), key=len, reverse=True)
-    ]
+    ordered = []
+    for group in groups.values():
+        widths = list(dict.fromkeys(job.euclid_width for job in group))
+        group.sort(key=lambda job: (widths.index(job.euclid_width), job.variant))
+        ordered.append(tuple(group))
+    return sorted(ordered, key=len, reverse=True)
 
 
 def execute(
@@ -1040,10 +1077,12 @@ def execute(
 ) -> CampaignSummary:
     """Run a campaign, serially or across a process pool.
 
-    Jobs are grouped by workload (family, dataset, query count) so one
-    worker executes the workload once and simulates every variant.  A
-    group whose future times out (``per_job_timeout * len(group)``) or a
-    job that raises is retried once, job-by-job; jobs still failing are
+    Each distinct job runs (and is recorded) once.  Jobs are grouped by
+    workload (family, dataset, query count) so one worker executes the
+    workload once and simulates every variant, and a process holds one
+    group in memory at a time (:func:`_run_group`).  A group whose future
+    times out (``per_job_timeout * len(group)``) or whose worker dies, and
+    a job that raises, are retried once, job-by-job; jobs still failing are
     reported in the summary without aborting the others.
     """
     if mode is not None:
@@ -1060,17 +1099,14 @@ def execute(
             by_job[record.job] = record
 
     if jobs_n <= 1 or len(groups) <= 1:
-        ingest = TraceIngest()
         for attempt in range(1, retries + 2):
-            pending = [
-                job
-                for group in groups
-                for job in group
-                if job not in by_job or not by_job[job].ok
-            ]
-            if not pending:
-                break
-            absorb([_run_recorded(job, ingest) for job in pending], attempt)
+            for group in groups:
+                pending = tuple(
+                    job for job in group
+                    if job not in by_job or not by_job[job].ok
+                )
+                if pending:
+                    absorb(_run_group(pending), attempt)
     else:
         _execute_pool(
             groups, by_job, jobs_n, mode, per_job_timeout, retries, absorb
@@ -1096,70 +1132,77 @@ def _execute_pool(
     retries: int,
     absorb,
 ) -> None:
-    cache = str(cache_dir())
-    results = str(results_dir())
-    manifests = manifests_enabled()
-    with ProcessPoolExecutor(max_workers=min(jobs_n, len(groups))) as pool:
+    """Run ``groups`` across a process pool, one group per worker call.
 
-        def submit(group: tuple[Job, ...], attempt: int) -> None:
-            future = pool.submit(
-                _worker, group, mode, cache, results, manifests
+    First attempts keep at most one group in flight per worker.  Retries
+    run after them, one job at a time, so a job that kills its worker
+    fails no other job.  A dead worker breaks the whole
+    ``ProcessPoolExecutor``: every group in flight on it fails its attempt
+    with ``BrokenProcessPool``, and a fresh pool takes over.
+    """
+    args = (mode, str(cache_dir()), str(results_dir()), manifests_enabled())
+    workers = min(jobs_n, len(groups))
+    pending = deque((group, 1) for group in groups)
+    futures: dict = {}  # future -> (group, attempt, deadline)
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        while pending or futures:
+            while pending:
+                group, attempt = pending[0]
+                if len(futures) >= (workers if attempt == 1 else 1):
+                    break
+                pending.popleft()
+                future = pool.submit(_worker, group, *args)
+                deadline = time.monotonic() + per_job_timeout * len(group)
+                futures[future] = (group, attempt, deadline)
+            soonest = min(due for _group, _attempt, due in futures.values())
+            done, _ = wait(
+                futures,
+                timeout=max(0.0, soonest - time.monotonic()),
+                return_when=FIRST_COMPLETED,
             )
-            futures[future] = (group, attempt, time.monotonic())
-
-        futures: dict = {}
-        for group in groups:
-            submit(group, 1)
-        while futures:
-            deadlines = {
-                f: started + per_job_timeout * len(group)
-                for f, (group, _a, started) in futures.items()
-            }
-            timeout = max(0.0, min(deadlines.values()) - time.monotonic())
-            done, _pending = wait(
-                futures, timeout=timeout, return_when=FIRST_COMPLETED
-            )
+            if any(isinstance(f.exception(), BrokenProcessPool) for f in done):
+                # A dead worker fails every future of its pool at once.
+                done, _ = wait(futures)
+                pool.shutdown()
+                pool = ProcessPoolExecutor(max_workers=workers)
             now = time.monotonic()
-            expired = [
-                f for f in futures
-                if f not in done and deadlines[f] <= now
-            ]
-            for future in done:
-                group, attempt, _started = futures.pop(future)
-                try:
-                    records = future.result()
-                except Exception as exc:  # noqa: BLE001 - worker crash
+            for future, (group, attempt, deadline) in list(futures.items()):
+                if future in done:
+                    records = _group_result(future, group)
+                elif deadline <= now:
+                    future.cancel()
                     records = [
-                        JobRecord(
-                            job, ok=False,
-                            error=f"worker: {type(exc).__name__}: {exc}",
-                        )
-                        for job in group
-                    ]
-                absorb(records, attempt)
-                retry = [
-                    job for job in group
-                    if not by_job[job].ok and attempt <= retries
-                ]
-                for job in retry:  # retry failures individually, isolated
-                    submit((job,), attempt + 1)
-            for future in expired:
-                group, attempt, _started = futures.pop(future)
-                future.cancel()
-                absorb(
-                    [
                         JobRecord(
                             job, ok=False,
                             wall=per_job_timeout * len(group),
                             error=f"timeout after {per_job_timeout:.0f}s/job",
                         )
                         for job in group
-                    ],
-                    attempt,
-                )
+                    ]
+                else:
+                    continue
+                del futures[future]
+                absorb(records, attempt)
                 if attempt <= retries:
-                    for job in group:
-                        submit((job,), attempt + 1)
+                    pending.extend(
+                        ((job,), attempt + 1)
+                        for job in group if not by_job[job].ok
+                    )
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _group_result(future, group: tuple[Job, ...]) -> list[JobRecord]:
+    """A finished pool future's records; a worker that raised or died
+    fails every job of its group."""
+    try:
+        return future.result()
+    except Exception as exc:  # noqa: BLE001 - a lost group must not abort the campaign
+        return [
+            JobRecord(job, ok=False, error=f"worker: {type(exc).__name__}: {exc}")
+            for job in group
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -80,9 +80,9 @@ class Cache:
         self.mshr_entries = mshr_entries
         self.next_level = next_level
         self.stats = CacheStats()
-        # set index -> {line_addr: last_use_counter} (LRU).
-        self._tags: list[dict[int, int]] = [dict() for _ in range(sets)]
-        self._use_counter = 0
+        # set index -> {line_addr: None} in recency order: a touch moves
+        # the line to the end, so the first key is the LRU victim.
+        self._tags: list[dict[int, None]] = [dict() for _ in range(sets)]
         # line_addr -> fill completion time (outstanding misses).
         self._pending: dict[int, int] = {}
         # Min-heap of (completion_time, line_addr) mirroring _pending.
@@ -110,7 +110,8 @@ class Cache:
         """Access one cache line; returns (data_ready_time, hit).
 
         The tag-hit path is the simulator's hottest loop, so the LRU touch
-        and the set-index arithmetic are written inline.
+        (move the line to the end of its set) and the set-index arithmetic
+        are written inline.
         """
         stats = self.stats
         stats.accesses += 1
@@ -129,8 +130,8 @@ class Cache:
 
         tag_set = self._tags[(line_addr // self.line_bytes) % self.sets]
         if line_addr in tag_set:
-            self._use_counter += 1
-            tag_set[line_addr] = self._use_counter
+            del tag_set[line_addr]
+            tag_set[line_addr] = None
             stats.hits += 1
             ready = start + self.hit_latency
             if pending:
@@ -162,11 +163,9 @@ class Cache:
         fill_time = self.next_level(line_addr, start + self.hit_latency)
         pending[line_addr] = fill_time
         heapq.heappush(pending_heap, (fill_time, line_addr))
-        if line_addr not in tag_set and len(tag_set) >= self.ways:
-            victim = min(tag_set, key=tag_set.get)  # type: ignore[arg-type]
-            del tag_set[victim]
-        self._use_counter += 1
-        tag_set[line_addr] = self._use_counter
+        if len(tag_set) >= self.ways:
+            del tag_set[next(iter(tag_set))]  # the least recently used
+        tag_set[line_addr] = None
         if self._trace_channel is not None:
             self._tracer.record(
                 self._trace_channel, start, len(pending)
@@ -198,7 +197,6 @@ class Cache:
         hit_latency = self.hit_latency
         mshr_entries = self.mshr_entries
         next_level = self.next_level
-        use_counter = self._use_counter
         heappop = heapq.heappop
         heappush = heapq.heappush
         interval = self.port_interval
@@ -220,8 +218,8 @@ class Cache:
                 pending.pop(heappop(pending_heap)[1], None)
             tag_set = tags[(line_addr // line_bytes) % sets]
             if line_addr in tag_set:
-                use_counter += 1
-                tag_set[line_addr] = use_counter
+                del tag_set[line_addr]
+                tag_set[line_addr] = None
                 hits += 1
                 ready = start + hit_latency
                 if pending:
@@ -249,11 +247,9 @@ class Cache:
                 ready = next_level(line_addr, start + hit_latency)
                 pending[line_addr] = ready
                 heappush(pending_heap, (ready, line_addr))
-                if line_addr not in tag_set and len(tag_set) >= ways:
-                    victim = min(tag_set, key=tag_set.get)
-                    del tag_set[victim]
-                use_counter += 1
-                tag_set[line_addr] = use_counter
+                if len(tag_set) >= ways:
+                    del tag_set[next(iter(tag_set))]
+                tag_set[line_addr] = None
                 if self._trace_channel is not None:
                     self._tracer.record(
                         self._trace_channel, start, len(pending)
@@ -261,7 +257,6 @@ class Cache:
             if ready > worst:
                 worst = ready
         self._port_free = float(free) if unit else free
-        self._use_counter = use_counter
         stats.accesses += accesses
         stats.hits += hits
         stats.misses += misses

@@ -31,20 +31,25 @@ from repro.gpusim.resource import PipelinedLane, SlotPool
 from repro.gpusim.trace import WarpInstr
 
 
-def hsu_coalesced_lines(instr: WarpInstr, line_bytes: int) -> list[int]:
+def hsu_coalesced_lines(
+    instr: WarpInstr, line_bytes: int, intern: dict[int, int] | None = None
+) -> list[int]:
     """The sorted operand-line set one HSU instruction fetches.
 
     Duplicate lines across threads merge into one request in the memory
     access FIFO — the CISC coalescing behind Fig. 12.  Module-level so the
-    engine's trace packer can precompute the set once at ingest.
+    engine's trace packer can precompute the set once at ingest, interning
+    each line through ``intern`` as the LDG coalescing kernel does.
     """
     total_bytes = max(1, instr.beats * instr.bytes_per_thread)
+    canon = (intern if intern is not None else {}).setdefault
     lines = set()
+    add = lines.add
     for base in instr.addrs[: instr.active]:
         first_line = (base // line_bytes) * line_bytes
         last_line = ((base + total_bytes - 1) // line_bytes) * line_bytes
         for line in range(first_line, last_line + 1, line_bytes):
-            lines.add(line)
+            add(canon(line, line))
     return sorted(lines)
 
 

@@ -38,7 +38,10 @@ layout over warps):
   round-robin ``smi = warp_index % num_sms`` as the engine,
 * ``lines`` — the precomputed coalesced line list (LDG: the backend's
   ``coalesce_lines`` kernel over all thread addresses; HSU:
-  :func:`~repro.gpusim.rtunit.hsu_coalesced_lines` over active threads),
+  :func:`~repro.gpusim.rtunit.hsu_coalesced_lines` over active threads).
+  Both intern the line addresses through one dict per pack, so a pack
+  holds one int object per distinct line, not one per (instruction,
+  line) pair,
 * ``hsubusy`` — HSU datapath occupancy (``active * beats``).
 
 Columns are plain Python lists (fastest for the engine's scalar
@@ -113,6 +116,7 @@ class PackedKernel:
         alu, sfu, shared, line_bytes, num_sms = self.key
         latencies = (alu, sfu, shared)
         coalesce = get_backend().coalesce_lines
+        intern: dict[int, int] = {}
         starts = [0]
         lengths = []
         kind: list[int] = []
@@ -149,7 +153,7 @@ class PackedKernel:
                     o = 0
                     kc = rep
                     ln = coalesce(
-                        instr.addrs, instr.bytes_per_thread, line_bytes
+                        instr.addrs, instr.bytes_per_thread, line_bytes, intern
                     )
                     hb = 0
                     pure = 0
@@ -157,7 +161,7 @@ class PackedKernel:
                     h = 1
                     o = 0
                     kc = 1
-                    ln = hsu_coalesced_lines(instr, line_bytes)
+                    ln = hsu_coalesced_lines(instr, line_bytes, intern)
                     hb = instr.active * instr.beats
                     pure = 0
                 ab = 1 if (instr.hsu_able or code == _CODE_HSU) else 0

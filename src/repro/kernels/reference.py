@@ -512,25 +512,36 @@ class ReferenceBackend:
     # -- warp-load coalescing (repro/gpusim/gpu.py) -----------------------
 
     def coalesce_lines(
-        self, addrs: tuple[int, ...], bytes_per_thread: int, line_bytes: int
+        self,
+        addrs: tuple[int, ...],
+        bytes_per_thread: int,
+        line_bytes: int,
+        intern: dict[int, int] | None = None,
     ) -> list[int]:
-        """Unique cache-line addresses touched by a warp load, sorted."""
+        """Unique cache-line addresses touched by a warp load, sorted.
+
+        ``intern`` maps each line address seen so far to the one int
+        object that stands for it; every line is looked up there as it is
+        computed, so the calls sharing one dict (an SoA pack) hold one
+        object per distinct line.
+        """
         span = max(1, bytes_per_thread)
+        canon = (intern if intern is not None else {}).setdefault
         lines = set()
         add = lines.add
         if span <= line_bytes:
             # Common case: each access straddles at most two lines.
             for base in addrs:
                 first = base - base % line_bytes
-                add(first)
+                add(canon(first, first))
                 last = base + span - 1
                 last_line = last - last % line_bytes
                 if last_line != first:
-                    add(last_line)
+                    add(canon(last_line, last_line))
         else:
             for base in addrs:
                 first = (base // line_bytes) * line_bytes
                 last = ((base + span - 1) // line_bytes) * line_bytes
                 for line in range(first, last + 1, line_bytes):
-                    add(line)
+                    add(canon(line, line))
         return sorted(lines)

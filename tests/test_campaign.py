@@ -3,12 +3,14 @@
 Covers the contract docs/CAMPAIGN.md documents: cached results are
 bit-exact with fresh simulation, the cache invalidates on config change /
 trace change / schema bump, parallel execution equals serial execution,
-corrupted entries fall back to recompute, and a failed job is reported
-without aborting the campaign.
+corrupted entries fall back to recompute, a failed job (or a dead pool
+worker) is reported without aborting the campaign, and a finished
+workload group leaves nothing of its run, traces or pack alive.
 """
 
 import json
 import os
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -27,7 +29,9 @@ from repro.gpusim import (
     engine,
 )
 from repro.gpusim.observability import config_hash
+from repro.gpusim.soa import PackedKernel
 from repro.gpusim.stats import SimStats
+from repro.workloads.base import TraceBundle
 
 #: Tiny jobs: one btree group and one bvhnn group, milliseconds each.
 BTREE_BASE = campaign.Job("btree", "B+10K", "baseline", queries=32)
@@ -322,6 +326,49 @@ class TestExecute:
         assert summary.failed[0].attempts == 2  # single retry happened
         assert "FAILED" in summary.render()
 
+    def test_dead_worker_fails_only_its_job(self, monkeypatch):
+        jobs = campaign.smoke_jobs()
+        doomed = campaign.Job("btree", "B+10K", "hsu", queries=64)
+        run_job = campaign.run_job
+
+        def dying(job, *args, **kwargs):
+            if job == doomed:
+                os._exit(1)  # the worker dies, as an OOM kill would end it
+            return run_job(job, *args, **kwargs)
+
+        monkeypatch.setattr(campaign, "run_job", dying)
+        summary = campaign.execute(jobs, jobs_n=2, label="dead-worker")
+        assert [r.job for r in summary.failed] == [doomed]
+        assert summary.failed[0].attempts == 2  # lost once, retried once
+        assert "BrokenProcessPool" in summary.failed[0].error
+        assert summary.hits + summary.misses == len(jobs) - 1
+        payload = json.loads(
+            (campaign.results_dir() / "campaign-dead-worker.json").read_text()
+        )
+        assert payload["failed"] == 1 and len(payload["jobs"]) == len(jobs)
+        monkeypatch.setattr(campaign, "run_job", run_job)
+        _clear_process_caches()
+        for job in jobs:
+            if job != doomed:
+                assert summary.stats_for(job) == run_job(job).stats
+
+    def test_a_duplicated_job_runs_and_counts_once(self):
+        cold = campaign.execute([BTREE_BASE, BTREE_BASE], jobs_n=1, label="dup")
+        assert (len(cold.records), cold.misses) == (1, 1)
+        warm = campaign.execute(
+            [BTREE_BASE, BTREE_HSU, BTREE_BASE], jobs_n=1, label="dup"
+        )
+        assert [r.job for r in warm.records] == [BTREE_BASE, BTREE_HSU]
+        assert (warm.hits, warm.misses) == (1, 1)
+        # CI's warm step expects a hit for each of the 14 distinct jobs of
+        # `--smoke --families ablations metrics`; one job is in two lists.
+        ci = (
+            campaign.smoke_jobs()
+            + campaign.ablation_jobs(smoke=True)
+            + campaign.metrics_jobs(smoke=True)
+        )
+        assert (len(ci), len(set(ci))) == (15, 14)
+
     def test_campaign_manifest_merges_job_records(self):
         summary = campaign.execute([BTREE_BASE, BTREE_HSU], jobs_n=1,
                                    label="merged")
@@ -360,11 +407,100 @@ class TestExecute:
         ("btree", "B+10K", {"queries": 0}, "queries must be >= 1"),
         ("ggnn", "S10K", {"shards": 2}, "bvhnn"),
         ("flann", "R10K", {"metric": "l1"}, "arkade"),
+        ("bvhnn", "R10K", {"scheduler": "bogus"}, "unknown scheduler policy"),
+        ("bvhnn", "R10K", {"memory": "bogus"}, "unknown memory model"),
     ])
     def test_job_rejects_bad_axes_at_construction(self, family, abbr, axes,
                                                   match):
         with pytest.raises(ConfigError, match=match):
             campaign.Job(family, abbr, "hsu", **axes)
+
+
+class _WatchedTrace(KernelTrace):
+    """A kernel trace that can be weakly referenced (``KernelTrace`` has
+    slots and no ``__weakref__``); it fingerprints and simulates the same."""
+
+
+class _WatchedPack(PackedKernel):
+    """A pack that can be weakly referenced."""
+
+
+class TestGroupRelease:
+    """A process holds one workload group in memory at a time: when a
+    group's last job ends, nothing references its run, traces or pack."""
+
+    @staticmethod
+    def watch(monkeypatch) -> tuple[list, list]:
+        """Weak references, tagged with their job's group, to every
+        workload run, trace and pack the campaign creates; and the groups
+        whose objects were still alive when a job of another group began."""
+        watched: list[tuple[tuple, weakref.ref]] = []
+        leaks: list[tuple] = []
+        current = [None]
+        run_job, to_traces = campaign.run_job, api.to_traces
+
+        def starting(job, *args, **kwargs):
+            leaks.extend(
+                group for group, ref in watched
+                if group != job.group and ref() is not None
+            )
+            current[0] = job.group
+            return run_job(job, *args, **kwargs)
+
+        def lowering(run, *args, **kwargs):
+            lowered = to_traces(run, *args, **kwargs)
+            bundle = TraceBundle(
+                *(_WatchedTrace(trace.warps, trace.name)
+                  for trace in (lowered.baseline, lowered.hsu))
+            )
+            for obj in (run, bundle.baseline, bundle.hsu):
+                watched.append((current[0], weakref.ref(obj)))
+            return bundle
+
+        def packing(kernel, config):
+            packed = _WatchedPack(kernel, config)
+            watched.append((current[0], weakref.ref(packed)))
+            return packed
+
+        monkeypatch.setattr(campaign, "run_job", starting)
+        monkeypatch.setattr(api, "to_traces", lowering)
+        monkeypatch.setattr(engine, "pack_kernel", packing)
+        return watched, leaks
+
+    def test_serial_campaign_releases_each_group(self, monkeypatch):
+        watched, leaks = self.watch(monkeypatch)
+        jobs = [BTREE_BASE, BTREE_HSU, *BVHNN_GROUP]
+        summary = campaign.execute(jobs, jobs_n=1, label="release")
+        assert summary.ok and summary.misses == len(jobs)
+        assert {group for group, _ref in watched} == {
+            BTREE_BASE.group, BVHNN_BASE.group
+        }
+        # Two runs, four traces and four packs were made, ...
+        assert len(watched) == 10
+        # ... none outlived its group, and none outlives the campaign.
+        assert leaks == []
+        assert [ref for _group, ref in watched if ref() is not None] == []
+
+    def test_worker_releases_its_group(self, monkeypatch, tmp_path):
+        watched, _leaks = self.watch(monkeypatch)
+        cache, results = tmp_path / "cache", tmp_path / "results"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(results))
+        records = campaign._worker(
+            tuple(BVHNN_GROUP), "on", str(cache), str(results), True
+        )
+        assert all(record.ok for record in records)
+        assert len(watched) == 5  # one run, two traces, two packs
+        assert [ref for _group, ref in watched if ref() is not None] == []
+
+    def test_release_survives_a_traced_run_workload(self, monkeypatch):
+        """perfbench's traced pass wraps ``api.run_workload`` in a plain
+        function, which has no ``cache_clear``."""
+        memo = api.run_workload
+        monkeypatch.setattr(api, "run_workload", lambda *a: memo(*a))
+        summary = campaign.execute([BTREE_BASE], jobs_n=1, label="traced")
+        assert summary.ok
+        assert memo.cache_info().currsize == 0
 
 
 class TestAblationJobs:

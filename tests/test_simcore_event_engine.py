@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.core.isa import Opcode
+from repro.gpusim import soa
 from repro.gpusim.config import (
     MEMORY_MODELS,
     SCHEDULER_POLICIES,
@@ -27,9 +28,11 @@ from repro.gpusim.config import (
 )
 from repro.gpusim.gpu import GpuSimulator
 from repro.gpusim.resource import PipelinedLane, Port, SlotPool, Timeline
+from repro.gpusim.rtunit import hsu_coalesced_lines
 from repro.gpusim.soa import PACK_FIELDS, PackedKernel, pack_key, pack_kernel
 from repro.gpusim.stats import SimStats
 from repro.gpusim.trace import KernelTrace, WarpInstr, WarpTrace
+from repro.kernels import get_backend
 
 #: Small structure so traces overflow residency (exercising wave
 #: admission) and contend on sub-cores, warp buffer, and MSHRs.
@@ -323,6 +326,33 @@ class TestPackContract:
         ):
             assert pack_key(other) != pack_key(SMALL)
             assert _columns(pack_kernel(kernel, other)) != columns
+
+    def test_pack_holds_one_int_per_distinct_line(self, monkeypatch):
+        kernel = random_kernel(random.Random(11), num_warps=48)
+        interned = pack_kernel(kernel, SMALL)
+        # An uninterned pack: every coalescing call without the pack's dict.
+        backend = type(get_backend())
+        coalesce = backend.coalesce_lines
+        monkeypatch.setattr(
+            backend, "coalesce_lines",
+            lambda self, addrs, size, line_bytes, intern=None:
+                coalesce(self, addrs, size, line_bytes),
+        )
+        monkeypatch.setattr(
+            soa, "hsu_coalesced_lines",
+            lambda instr, line_bytes, intern=None:
+                hsu_coalesced_lines(instr, line_bytes),
+        )
+        plain = pack_kernel(kernel, SMALL)
+        assert _columns(interned) == _columns(plain)
+
+        def counts(packed):
+            lines = [line for ln in packed.lines if ln for line in ln]
+            return len(lines), len(set(lines)), len({id(x) for x in lines})
+
+        pairs, distinct, objects = counts(interned)
+        assert objects == distinct < pairs
+        assert counts(plain)[2] > distinct
 
 
 class LinearScanLane:
