@@ -14,13 +14,35 @@ Two execution styles (§V-A):
 * ``parallel`` — one thread serves one query (FLANN, BVH-NN): per-thread
   scalar sequences with scattered loads; active masks thin as queries
   finish (the divergence regime the single-lane datapath targets).
+
+Each warp-op kind lowers to a fixed instruction pattern, like the fixed
+SASS sequences the paper's trace post-processor rewrites (§V), so a whole
+run lowers in one numpy pass: :class:`_OpTable` holds every op of every
+warp as columns, and :class:`_Rows` emits each pattern's instructions
+for all ops of its kind at once, straight into the columns of a
+:class:`~repro.gpusim.trace.KernelTrace` (validated once, there).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from typing import Callable, Sequence
 
+import numpy as np
+
+from repro.compiler.assembler import (
+    PACKED_KINDS,
+    PACKED_TALU,
+    PACKED_TBOX,
+    PACKED_TDIST,
+    PACKED_TKEYCMP,
+    PACKED_TLOAD,
+    PACKED_TSFU,
+    PACKED_TSHARED,
+    PACKED_TTRI,
+)
 from repro.compiler.ops import METRIC_ANGULAR, METRIC_EUCLID, WarpOp
 from repro.core.isa import (
     EUCLID_WIDTH,
@@ -31,14 +53,17 @@ from repro.core.isa import (
 from repro.core.multibeat import beat_count
 from repro.errors import TraceError
 from repro.gpusim.trace import (
+    COLUMNS,
     KIND_ALU,
+    KIND_CODES,
     KIND_HSU,
     KIND_LDG,
     KIND_LDS,
     KIND_SFU,
-    WarpInstr,
-    WarpTrace,
+    OPCODES,
+    KernelTrace,
 )
+from repro.search.events import segmented_arange
 
 STYLE_COOPERATIVE = "cooperative"
 STYLE_PARALLEL = "parallel"
@@ -113,259 +138,362 @@ class CostModel:
 
 
 def lower_baseline(
-    warp_ops: list[WarpOp],
+    warp_ops: Sequence[Sequence[WarpOp]],
     style: str,
     cost: CostModel | None = None,
-    label: str = "",
-) -> WarpTrace:
-    """Expand a warp-op stream into the non-RT SIMD trace."""
+    name: str = "",
+    labels: list[str] | None = None,
+) -> KernelTrace:
+    """Expand every warp's op stream into the non-RT SIMD trace."""
     cost = cost if cost is not None else CostModel()
-    trace = WarpTrace(label=label)
-    emit = trace.append
-    for op in warp_ops:
-        if op.kind == "TDist":
-            _baseline_dist(emit, op, style, cost)
-        elif op.kind == "TBox":
-            _emit_split_loads(
-                emit, op.addrs, op.active, op.b,
-                cost.box_loads_per_child * op.a,
-            )
-            emit(
-                WarpInstr(
-                    KIND_ALU,
-                    active=op.active,
-                    repeat=cost.box_alu_per_box * op.a,
-                    hsu_able=True,
-                    chain=cost.box_chain(op.a),
-                )
-            )
-        elif op.kind == "TTri":
-            _emit_split_loads(emit, op.addrs, op.active, 48, cost.tri_loads)
-            emit(
-                WarpInstr(
-                    KIND_ALU,
-                    active=op.active,
-                    repeat=cost.tri_alu,
-                    hsu_able=True,
-                    chain=cost.tri_chain,
-                )
-            )
-        elif op.kind == "TKeyCmp":
-            emit(
-                WarpInstr(
-                    KIND_LDG,
-                    active=op.active,
-                    addrs=op.addrs,
-                    bytes_per_thread=op.a * 4,
-                    hsu_able=True,
-                )
-            )
-            if style == STYLE_COOPERATIVE:
-                compares = (
-                    math.ceil(op.a / cost.coop_width) * cost.keycmp_alu_per_block
-                    + cost.keycmp_alu_base
-                )
-            else:
-                compares = op.a + cost.keycmp_alu_base
-            emit(
-                WarpInstr(
-                    KIND_ALU,
-                    active=op.active,
-                    repeat=compares,
-                    hsu_able=True,
-                    chain=cost.keycmp_chain,
-                )
-            )
+    table = _OpTable(warp_ops)
+    rows = _Rows(table)
+    a, active = table.a, table.active
+    dist = table.select(PACKED_TDIST)
+    if dist.size:
+        if style == STYLE_COOPERATIVE:
+            _coop_dist(rows, dist, cost)
+        elif style == STYLE_PARALLEL:
+            _parallel_dist(rows, dist, cost)
         else:
-            _lower_common(emit, op)
-    return trace
+            raise TraceError(f"unknown lowering style {style!r}")
+    box = table.select(PACKED_TBOX)
+    loads = rows.split_loads(box, table.b[box], cost.box_loads_per_child * a[box])
+    rows.emit(
+        box, loads, KIND_ALU, active[box],
+        repeat=cost.box_alu_per_box * a[box], able=1,
+        chain=_per_value(cost.box_chain, a[box]),
+    )
+    tri = table.select(PACKED_TTRI)
+    loads = rows.split_loads(tri, 48, cost.tri_loads)
+    rows.emit(
+        tri, loads, KIND_ALU, active[tri],
+        repeat=cost.tri_alu, able=1, chain=cost.tri_chain,
+    )
+    keycmp = table.select(PACKED_TKEYCMP)
+    separators = a[keycmp]
+    rows.emit(
+        keycmp, 0, KIND_LDG, active[keycmp],
+        addrs=_ALL, size=separators * 4, able=1,
+    )
+    if style == STYLE_COOPERATIVE:
+        compares = (
+            _ceil_div(separators, cost.coop_width) * cost.keycmp_alu_per_block
+            + cost.keycmp_alu_base
+        )
+    else:
+        compares = separators + cost.keycmp_alu_base
+    rows.emit(
+        keycmp, 1, KIND_ALU, active[keycmp],
+        repeat=compares, able=1, chain=cost.keycmp_chain,
+    )
+    _lower_common(rows)
+    return rows.trace(name, labels)
 
 
 def lower_hsu(
-    warp_ops: list[WarpOp],
+    warp_ops: Sequence[Sequence[WarpOp]],
     style: str,
     cost: CostModel | None = None,
     euclid_width: int = EUCLID_WIDTH,
-    label: str = "",
-) -> WarpTrace:
+    name: str = "",
+    labels: list[str] | None = None,
+) -> KernelTrace:
     """Replace HSU-able ops with HSU CISC instructions (Table I).
 
     ``euclid_width`` is the Euclidean datapath width (Fig. 10 sweeps it);
     the angular mode runs at :func:`~repro.core.isa.angular_width` of it.
     A distance chain fetches exactly the candidate's ``dim * 4`` bytes,
     split evenly over its beats; the last beat's lanes beyond ``dim`` are
-    disabled, not fetched.
+    disabled, not fetched.  Every HSU instruction has one active thread
+    per fetch address.
     """
     cost = cost if cost is not None else CostModel()
-    dist_modes = {
-        METRIC_EUCLID: (Opcode.POINT_EUCLID, euclid_width),
-        METRIC_ANGULAR: (Opcode.POINT_ANGULAR, angular_width(euclid_width)),
-    }
-    trace = WarpTrace(label=label)
-    emit = trace.append
-    for op in warp_ops:
-        if op.kind == "TDist":
-            if op.meta not in dist_modes:
-                raise TraceError(f"unknown metric {op.meta!r}")
-            opcode, width = dist_modes[op.meta]
-            beats = beat_count(op.a, width)
-            emit(
-                WarpInstr(
-                    KIND_HSU,
-                    active=len(op.addrs),
-                    addrs=op.addrs,
-                    bytes_per_thread=math.ceil(op.a * 4 / beats),
-                    opcode=opcode,
-                    beats=beats,
-                )
-            )
-            if op.meta == METRIC_ANGULAR:
-                # Scalar rsqrt + divide stay on the SFU (§IV-E); with the
-                # HSU every lane holds its own candidate, so the epilogue
-                # runs thread-parallel.
-                emit(
-                    WarpInstr(
-                        KIND_SFU,
-                        active=len(op.addrs),
-                        repeat=cost.angular_epilogue_sfu,
-                    )
-                )
-        elif op.kind == "TBox":
-            emit(
-                WarpInstr(
-                    KIND_HSU,
-                    active=len(op.addrs),
-                    addrs=op.addrs,
-                    bytes_per_thread=op.b,
-                    opcode=Opcode.RAY_INTERSECT,
-                )
-            )
-        elif op.kind == "TTri":
-            emit(
-                WarpInstr(
-                    KIND_HSU,
-                    active=len(op.addrs),
-                    addrs=op.addrs,
-                    bytes_per_thread=48,
-                    opcode=Opcode.RAY_INTERSECT,
-                )
-            )
-        elif op.kind == "TKeyCmp":
-            beats = beat_count(op.a, KEY_COMPARE_WIDTH)
-            emit(
-                WarpInstr(
-                    KIND_HSU,
-                    active=len(op.addrs),
-                    addrs=op.addrs,
-                    bytes_per_thread=math.ceil(op.a * 4 / beats),
-                    opcode=Opcode.KEY_COMPARE,
-                    beats=beats,
-                )
-            )
-        else:
-            _lower_common(emit, op)
-    return trace
-
-
-def _baseline_dist(emit, op: WarpOp, style: str, cost: CostModel) -> None:
-    if style == STYLE_COOPERATIVE:
-        # The warp processes candidates one at a time: a coalesced load of
-        # the candidate vector, an FMA chain, and a warp reduction each.
-        for addr in op.addrs:
-            # One record standing for the ceil(bytes/128) vectorized load
-            # instructions the warp issues; completion waits for all lines
-            # (first use), issue slots charged via repeat.
-            emit(
-                WarpInstr(
-                    KIND_LDG,
-                    active=32,
-                    addrs=(addr,),
-                    bytes_per_thread=op.a * 4,
-                    repeat=max(1, math.ceil(op.a * 4 / 128)),
-                    hsu_able=True,
-                )
-            )
-            emit(
-                WarpInstr(
-                    KIND_ALU,
-                    active=32,
-                    repeat=cost.coop_dist_alu(op.a, op.meta),
-                    hsu_able=True,
-                    chain=cost.coop_dist_chain(op.a, op.meta),
-                )
-            )
-            if op.meta == METRIC_ANGULAR:
-                emit(WarpInstr(KIND_SFU, active=32, repeat=cost.angular_epilogue_sfu))
-    elif style == STYLE_PARALLEL:
-        # Each thread computes its own candidate's distance: scattered
-        # loads plus a scalar arithmetic sequence.
-        _emit_split_loads(
-            emit, op.addrs, op.active, op.a * 4, cost.scalar_dist_loads
+    dist_modes = (
+        (Opcode.POINT_EUCLID, euclid_width),
+        (Opcode.POINT_ANGULAR, angular_width(euclid_width)),
+    )
+    table = _OpTable(warp_ops)
+    rows = _Rows(table)
+    a, lanes = table.a, table.num_addrs
+    dist = table.select(PACKED_TDIST)
+    unknown = dist[table.metric[dist] == len(_METRICS)]
+    if unknown.size:
+        raise TraceError(f"unknown metric {table.meta[unknown[0]]!r}")
+    for metric, (opcode, width) in enumerate(dist_modes):
+        ops = dist[table.metric[dist] == metric]
+        dim = a[ops]
+        beats = _per_value(lambda d, width=width: beat_count(d, width), dim)
+        rows.emit(
+            ops, 0, KIND_HSU, lanes[ops], addrs=_ALL,
+            size=_ceil_div(dim * 4, beats), opcode=opcode, beats=beats,
         )
-        emit(
-            WarpInstr(
-                KIND_ALU,
-                active=op.active,
-                repeat=cost.scalar_dist_alu(op.a),
-                hsu_able=True,
-                chain=cost.scalar_dist_chain(op.a),
+        if _METRICS[metric] == METRIC_ANGULAR:
+            # Scalar rsqrt + divide stay on the SFU (§IV-E); with the
+            # HSU every lane holds its own candidate, so the epilogue
+            # runs thread-parallel.
+            rows.emit(
+                ops, 1, KIND_SFU, lanes[ops],
+                repeat=cost.angular_epilogue_sfu,
             )
-        )
-        if op.meta == METRIC_ANGULAR:
-            emit(
-                WarpInstr(
-                    KIND_SFU, active=op.active, repeat=cost.angular_epilogue_sfu
-                )
-            )
-    else:
-        raise TraceError(f"unknown lowering style {style!r}")
+    box = table.select(PACKED_TBOX)
+    rows.emit(
+        box, 0, KIND_HSU, lanes[box], addrs=_ALL,
+        size=table.b[box], opcode=Opcode.RAY_INTERSECT,
+    )
+    tri = table.select(PACKED_TTRI)
+    rows.emit(
+        tri, 0, KIND_HSU, lanes[tri], addrs=_ALL,
+        size=48, opcode=Opcode.RAY_INTERSECT,
+    )
+    keycmp = table.select(PACKED_TKEYCMP)
+    separators = a[keycmp]
+    beats = _per_value(lambda s: beat_count(s, KEY_COMPARE_WIDTH), separators)
+    rows.emit(
+        keycmp, 0, KIND_HSU, lanes[keycmp], addrs=_ALL,
+        size=_ceil_div(separators * 4, beats), opcode=Opcode.KEY_COMPARE,
+        beats=beats,
+    )
+    _lower_common(rows)
+    return rows.trace(name, labels)
 
 
-def _lower_common(emit, op: WarpOp) -> None:
+def _coop_dist(rows: _Rows, ops: np.ndarray, cost: CostModel) -> None:
+    """The warp processes candidates one at a time: a coalesced load of
+    the candidate vector, an FMA chain, and a warp reduction each."""
+    table = rows.table
+    per_op = table.num_addrs[ops]
+    each = np.repeat(ops, per_op)  # one entry per candidate
+    candidate = segmented_arange(per_op)
+    dim = table.a[each]
+    angular = table.metric[each] == _ANGULAR
+    slot = candidate * (2 + angular)
+    # One record standing for the ceil(bytes/128) vectorized load
+    # instructions the warp issues; completion waits for all lines (first
+    # use), issue slots charged via repeat.
+    rows.emit(
+        each, slot, KIND_LDG, 32, addrs=table.addr_starts[each] + candidate,
+        size=dim * 4, repeat=np.maximum(1, _ceil_div(dim * 4, 128)), able=1,
+    )
+    shape = dim * 2 + angular  # (dim, metric) of the cost model
+    rows.emit(
+        each, slot + 1, KIND_ALU, 32, able=1,
+        repeat=_per_value(
+            lambda key: cost.coop_dist_alu(key >> 1, _METRICS[key & 1]), shape
+        ),
+        chain=_per_value(
+            lambda key: cost.coop_dist_chain(key >> 1, _METRICS[key & 1]), shape
+        ),
+    )
+    rows.emit(
+        each[angular], slot[angular] + 2, KIND_SFU, 32,
+        repeat=cost.angular_epilogue_sfu,
+    )
+
+
+def _parallel_dist(rows: _Rows, ops: np.ndarray, cost: CostModel) -> None:
+    """Each thread computes its own candidate's distance: scattered loads
+    plus a scalar arithmetic sequence."""
+    table = rows.table
+    dim = table.a[ops]
+    loads = rows.split_loads(ops, dim * 4, cost.scalar_dist_loads)
+    rows.emit(
+        ops, loads, KIND_ALU, table.active[ops], able=1,
+        repeat=_per_value(cost.scalar_dist_alu, dim),
+        chain=_per_value(cost.scalar_dist_chain, dim),
+    )
+    angular = table.metric[ops] == _ANGULAR
+    rows.emit(
+        ops[angular], loads[angular] + 1, KIND_SFU, table.active[ops[angular]],
+        repeat=cost.angular_epilogue_sfu,
+    )
+
+
+def _lower_common(rows: _Rows) -> None:
     """Ops that lower identically in both traces."""
-    if op.kind == "TAlu":
-        emit(WarpInstr(KIND_ALU, active=op.active, repeat=max(1, op.a)))
-    elif op.kind == "TShared":
-        emit(WarpInstr(KIND_LDS, active=op.active, repeat=max(1, op.a)))
-    elif op.kind == "TSfu":
-        emit(WarpInstr(KIND_SFU, active=op.active, repeat=max(1, op.a)))
-    elif op.kind == "TLoad":
-        emit(
-            WarpInstr(
-                KIND_LDG,
-                active=op.active,
-                addrs=op.addrs,
-                bytes_per_thread=op.a,
-            )
+    table = rows.table
+    for code, kind in (
+        (PACKED_TALU, KIND_ALU),
+        (PACKED_TSHARED, KIND_LDS),
+        (PACKED_TSFU, KIND_SFU),
+    ):
+        ops = table.select(code)
+        rows.emit(
+            ops, 0, kind, table.active[ops], repeat=np.maximum(1, table.a[ops])
         )
-    else:
-        raise TraceError(f"unknown warp op kind {op.kind!r}")
+    load = table.select(PACKED_TLOAD)
+    rows.emit(
+        load, 0, KIND_LDG, table.active[load], addrs=_ALL, size=table.a[load]
+    )
 
 
-def _emit_split_loads(
-    emit, addrs: tuple[int, ...], active: int, total_bytes: int, num_loads: int
-) -> None:
-    """Baseline node/point fetch as ``num_loads`` separate load instructions.
+#: Metric codes of the op table; unknown metrics get ``len(_METRICS)``.
+_METRICS = (METRIC_EUCLID, METRIC_ANGULAR)
+_ANGULAR = _METRICS.index(METRIC_ANGULAR)
+_METRIC_CODES = {metric: code for code, metric in enumerate(_METRICS)}
+_OP_CODES = {kind: code for code, kind in enumerate(PACKED_KINDS)}
+#: ``addrs=`` marker of :meth:`_Rows.emit`: the op's own addresses.
+_ALL = "all"
 
-    Real SASS loads a structure with several vectorized loads; with
-    per-thread scattered bases, each load re-touches the same cache lines,
-    so the L1 sees up to ``num_loads`` accesses per line where the HSU's
-    CISC fetch sees one (Fig. 12).  Chunks never shrink below 4 bytes.
+
+def _ceil_div(num, den):
+    return -(-num // den)
+
+
+def _per_value(fn: Callable[[int], int], values: np.ndarray) -> np.ndarray:
+    """``fn`` of every entry of ``values``, calling ``fn`` once per
+    distinct value, so the cost-model and beat formulas stay scalar."""
+    distinct = sorted(set(values.tolist()))
+    table = np.array([fn(value) for value in distinct], dtype=np.int64)
+    return table[np.searchsorted(np.array(distinct, dtype=np.int64), values)]
+
+
+class _OpTable:
+    """Every warp op of a run as columns, warp after warp in stream order.
+
+    Per op: ``kind`` (a :data:`~repro.compiler.assembler.PACKED_KINDS`
+    code), ``active``, the ``a``/``b`` payload, ``metric`` (a
+    :data:`_METRICS` code) and its addresses, which are
+    ``addrs[addr_starts[i]:addr_starts[i] + num_addrs[i]]``;
+    ``warp_starts`` are the per-warp op offsets.
     """
-    num_loads = max(1, min(num_loads, math.ceil(total_bytes / 4)))
-    chunk = math.ceil(total_bytes / num_loads)
-    offset = 0
-    for _ in range(num_loads):
-        size = min(chunk, total_bytes - offset)
-        if size <= 0:
-            break
-        emit(
-            WarpInstr(
-                KIND_LDG,
-                active=active,
-                addrs=addrs if offset == 0 else tuple(map(offset.__add__, addrs)),
-                bytes_per_thread=size,
-                hsu_able=True,
+
+    def __init__(self, warp_ops: Sequence[Sequence[WarpOp]]) -> None:
+        self.warp_starts = np.cumsum([0, *map(len, warp_ops)])
+        ops = [op for warp in warp_ops for op in warp]
+        count = len(ops)
+        kinds, addrs, active, a, b, meta = zip(*ops) if ops else ((),) * 6
+        try:
+            self.kind = np.fromiter(
+                map(_OP_CODES.__getitem__, kinds), np.int64, count
             )
+        except KeyError as exc:
+            raise TraceError(f"unknown warp op kind {exc.args[0]!r}") from None
+        self.active = np.fromiter(active, np.int64, count)
+        self.a = np.fromiter(a, np.int64, count)
+        self.b = np.fromiter(b, np.int64, count)
+        self.meta = meta
+        self.metric = np.fromiter(
+            map(_METRIC_CODES.get, meta, repeat(len(_METRICS))), np.int64, count
         )
-        offset += size
+        self.num_addrs = np.fromiter(map(len, addrs), np.int64, count)
+        self.addr_starts = np.cumsum(self.num_addrs) - self.num_addrs
+        self.addrs = np.fromiter(
+            chain.from_iterable(addrs), np.int64, int(self.num_addrs.sum())
+        )
+
+    def select(self, code: int) -> np.ndarray:
+        """Indices of the ops of one kind, in stream order."""
+        return np.flatnonzero(self.kind == code)
+
+
+class _Rows:
+    """The instruction rows of one trace, emitted pattern by pattern.
+
+    Each op lowers to instructions at slots 0, 1, ... of its own stream
+    position, so :meth:`emit` places a row at its op's first row plus its
+    slot; the rows of different patterns never collide.
+    """
+
+    def __init__(self, table: _OpTable) -> None:
+        self.table = table
+        self.parts: list[tuple[np.ndarray, object, dict[str, object]]] = []
+
+    def emit(
+        self,
+        ops: np.ndarray,
+        slot,
+        kind: str,
+        active,
+        *,
+        addrs=None,
+        shift=0,
+        size=0,
+        repeat=1,
+        chain=1,
+        able=0,
+        opcode: Opcode | None = None,
+        beats=1,
+    ) -> None:
+        """One ``kind`` instruction per entry of ``ops`` at ``slot``.
+
+        ``addrs`` is ``None`` (no addresses), :data:`_ALL` (the op's
+        addresses, each plus ``shift``) or an array of single op-address
+        indices.  The other arguments are column values, scalars or one
+        per entry of ``ops``.
+        """
+        if not ops.size:
+            return
+        if addrs is None:
+            first, count = 0, 0
+        elif addrs is _ALL:
+            first, count = self.table.addr_starts[ops], self.table.num_addrs[ops]
+        else:
+            first, count = addrs, 1
+        self.parts.append((ops, slot, {
+            "kind": KIND_CODES[kind],
+            "active": active,
+            "repeat": repeat,
+            "chain": chain,
+            "hsu_able": able,
+            "opcode": -1 if opcode is None else OPCODES.index(opcode),
+            "beats": beats,
+            "bytes_per_thread": size,
+            "first": first,
+            "count": count,
+            "shift": shift,
+        }))
+
+    def split_loads(self, ops: np.ndarray, total_bytes, num_loads) -> np.ndarray:
+        """Baseline node/point fetch as up to ``num_loads`` separate load
+        instructions per op, at slots 0, 1, ...; returns how many each op
+        got.
+
+        Real SASS loads a structure with several vectorized loads; with
+        per-thread scattered bases, each load re-touches the same cache
+        lines, so the L1 sees up to ``num_loads`` accesses per line where
+        the HSU's CISC fetch sees one (Fig. 12).  Chunks never shrink
+        below 4 bytes.
+        """
+        total_bytes = np.broadcast_to(total_bytes, ops.shape)
+        num_loads = np.maximum(1, np.minimum(num_loads, _ceil_div(total_bytes, 4)))
+        chunk = _ceil_div(total_bytes, num_loads)
+        loads = np.where(total_bytes > 0, _ceil_div(total_bytes, np.maximum(chunk, 1)), 0)
+        each = np.repeat(ops, loads)
+        index = segmented_arange(loads)
+        offset = index * np.repeat(chunk, loads)
+        self.emit(
+            each, index, KIND_LDG, self.table.active[each], addrs=_ALL,
+            shift=offset, able=1,
+            size=np.minimum(np.repeat(chunk, loads),
+                            np.repeat(total_bytes, loads) - offset),
+        )
+        return loads
+
+    def trace(self, name: str, labels: list[str] | None) -> KernelTrace:
+        table = self.table
+        per_op = np.zeros(table.kind.shape[0], dtype=np.int64)
+        for ops, _slot, _values in self.parts:
+            per_op += np.bincount(ops, minlength=per_op.shape[0])
+        op_rows = np.concatenate(([0], np.cumsum(per_op)))
+        columns = {
+            key: np.empty(op_rows[-1], dtype=np.int64)
+            for key in (*COLUMNS, "first", "count", "shift")
+        }
+        for ops, slot, values in self.parts:
+            at = op_rows[ops] + slot
+            for key, value in values.items():
+                columns[key][at] = value
+        first, count = columns.pop("first"), columns.pop("count")
+        shift = columns.pop("shift")
+        addrs = (
+            table.addrs[np.repeat(first, count) + segmented_arange(count)]
+            + np.repeat(shift, count)
+        )
+        warp_offsets = op_rows[table.warp_starts]
+        if labels is None:
+            labels = [""] * (warp_offsets.shape[0] - 1)
+        return KernelTrace.from_columns(
+            name, labels, warp_offsets, np.concatenate(([0], np.cumsum(count))),
+            addrs, **columns,
+        )

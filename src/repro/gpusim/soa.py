@@ -58,10 +58,11 @@ built from that kernel under that key.  The engine only reads a pack.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.gpusim.config import GpuConfig
-from repro.gpusim.rtunit import hsu_coalesced_lines
 from repro.gpusim.trace import KIND_CODES, KernelTrace
-from repro.kernels import get_backend
+from repro.search.events import segmented_arange
 
 _CODE_LDG = KIND_CODES["ldg"]
 _CODE_HSU = KIND_CODES["hsu"]
@@ -114,93 +115,145 @@ class PackedKernel:
         self.kernel = kernel
         self.key = pack_key(config)
         alu, sfu, shared, line_bytes, num_sms = self.key
-        latencies = (alu, sfu, shared)
-        coalesce = get_backend().coalesce_lines
-        intern: dict[int, int] = {}
-        starts = [0]
-        lengths = []
-        kind: list[int] = []
-        hold: list[int] = []
-        off: list[int] = []
-        kcnt: list[int] = []
-        repeat: list[int] = []
-        able: list[int] = []
-        attrs: list = []
-        lines: list = []
-        static_kinds = [[0] * 5 for _ in range(num_sms)]
-        static_wi = [0] * num_sms
-        static_able = [0] * num_sms
-        static_other = [0] * num_sms
-        hsubusy: list[int] = []
-        total = 0
-        for windex, warp in enumerate(kernel.warps):
-            smi = windex % num_sms
-            kinds_row = static_kinds[smi]
-            instructions = warp.instructions
-            last = len(instructions) - 1
-            for position, instr in enumerate(instructions):
-                code = KIND_CODES[instr.kind]
-                rep = instr.repeat
-                if code < 3:
-                    h = rep
-                    o = rep - 1 + instr.chain * latencies[code]
-                    kc = rep
-                    ln = None
-                    hb = 0
-                    pure = 1 if position != last and o >= 1 else 0
-                elif code == _CODE_LDG:
-                    h = rep
-                    o = 0
-                    kc = rep
-                    ln = coalesce(
-                        instr.addrs, instr.bytes_per_thread, line_bytes, intern
-                    )
-                    hb = 0
-                    pure = 0
-                else:
-                    h = 1
-                    o = 0
-                    kc = 1
-                    ln = hsu_coalesced_lines(instr, line_bytes, intern)
-                    hb = instr.active * instr.beats
-                    pure = 0
-                ab = 1 if (instr.hsu_able or code == _CODE_HSU) else 0
-                kind.append(code)
-                hold.append(h)
-                off.append(o)
-                kcnt.append(kc)
-                repeat.append(rep)
-                able.append(ab)
-                if pure:
-                    attrs.append((h, o))
-                    kinds_row[code] += kc
-                    static_wi[smi] += rep
-                    if ab:
-                        static_able[smi] += o + 1
-                    else:
-                        static_other[smi] += o + 1
-                else:
-                    attrs.append(None)
-                lines.append(ln)
-                hsubusy.append(hb)
-            total += len(instructions)
-            starts.append(total)
-            lengths.append(len(instructions))
-        self.starts = starts
-        self.lengths = lengths
-        self.kind = kind
-        self.hold = hold
-        self.off = off
-        self.kcnt = kcnt
-        self.repeat = repeat
-        self.able = able
-        self.attrs = attrs
-        self.static_kinds = static_kinds
-        self.static_wi = static_wi
-        self.static_able = static_able
-        self.static_other = static_other
-        self.lines = lines
-        self.hsubusy = hsubusy
+        kind = kernel.kind.astype(np.int64)
+        rep = kernel.repeat.astype(np.int64)
+        hsu = kind == _CODE_HSU
+        starts = kernel.warp_offsets
+        lengths = np.diff(starts)
+        hold = np.where(hsu, 1, rep)
+        latency = np.array([alu, sfu, shared, 0, 0], dtype=np.int64)[kind]
+        off = np.where(kind < 3, rep - 1 + kernel.chain * latency, 0)
+        able = (kernel.hsu_able != 0) | hsu
+        last = np.zeros(kind.shape[0], dtype=bool)
+        last[starts[1:][lengths > 0] - 1] = True
+        pure = (kind < 3) & ~last & (off >= 1)
+
+        # Per-SM totals of the pure instructions (round-robin placement).
+        sm = np.repeat(np.arange(kernel.num_warps) % num_sms, lengths)[pure]
+        busy = off[pure] + 1
+        able_pure = able[pure]
+
+        def per_sm(weights, index=sm, size=num_sms):
+            return np.bincount(index, weights, size).astype(np.int64).tolist()
+
+        kinds_flat = per_sm(rep[pure], sm * 5 + kind[pure], num_sms * 5)
+        self.static_kinds = [kinds_flat[5 * i:5 * i + 5] for i in range(num_sms)]
+        self.static_wi = per_sm(rep[pure])
+        self.static_able = per_sm(np.where(able_pure, busy, 0))
+        self.static_other = per_sm(np.where(able_pure, 0, busy))
+
+        self.starts = starts.tolist()
+        self.lengths = lengths.tolist()
+        self.kind = kind.tolist()
+        self.hold = hold.tolist()
+        self.off = off.tolist()
+        # Every kind counts its repeats except HSU, which counts once:
+        # exactly the issue-port hold.
+        self.kcnt = self.hold
+        self.repeat = rep.tolist()
+        self.able = able.astype(np.int64).tolist()
+        self.attrs = _shared_pairs(pure, hold, off)
+        self.lines = _line_sets(kernel, line_bytes)
+        self.hsubusy = np.where(
+            hsu, kernel.active.astype(np.int64) * kernel.beats, 0
+        ).tolist()
+
+
+def _shared_pairs(pure: np.ndarray, hold: np.ndarray, off: np.ndarray) -> list:
+    """``(hold, off)`` per pure instruction and ``None`` per other one,
+    with one tuple object per distinct pair."""
+    rows = np.flatnonzero(pure)
+    order = np.lexsort((off[rows], hold[rows]))
+    h, o = hold[rows][order], off[rows][order]
+    new = np.ones(order.shape[0], dtype=bool)
+    new[1:] = (h[1:] != h[:-1]) | (o[1:] != o[:-1])
+    pairs = [None, *zip(h[new].tolist(), o[new].tolist())]
+    code = np.zeros(pure.shape[0], dtype=np.int64)
+    code[rows[order]] = np.cumsum(new)
+    return list(map(pairs.__getitem__, code.tolist()))
+
+
+#: Upper bound on the (instruction, line) candidates one chunk of
+#: :func:`_line_sets` expands, so its temporaries stay a few MB however
+#: large the trace.
+CHUNK_LINES = 1 << 16
+
+
+def _line_sets(kernel: KernelTrace, line_bytes: int) -> list:
+    """Each instruction's sorted set of distinct cache lines, ``None`` for
+    the kinds that fetch none.
+
+    An LDG touches every line of ``[addr, addr + max(1,
+    bytes_per_thread))`` for each of its addresses, an HSU instruction the
+    lines of ``[addr, addr + max(1, beats * bytes_per_thread))`` for its
+    first ``active`` addresses — the sets ``coalesce_lines`` and
+    :func:`~repro.gpusim.rtunit.hsu_coalesced_lines` compute one address
+    at a time on the per-cycle path.  Here every address of a chunk of
+    instructions is cut into lines at once, and one sort plus an
+    adjacent compare drops the duplicates within each instruction.  Each
+    distinct line value is one int object for the whole pack.
+    """
+    kind = kernel.kind
+    ldg, hsu = kind == _CODE_LDG, kind == _CODE_HSU
+    offsets = kernel.addr_offsets
+    used = np.where(
+        hsu, np.minimum(np.diff(offsets), kernel.active), np.diff(offsets)
+    )
+    used[~(ldg | hsu)] = 0
+    span = np.maximum(
+        1,
+        kernel.bytes_per_thread.astype(np.int64)
+        * np.where(hsu, kernel.beats, 1),
+    )
+    # Lines one address can touch at most, summed per instruction: the
+    # chunk budget.
+    weight = used * ((span - 1) // line_bytes + 2)
+    ends = np.searchsorted(
+        np.cumsum(weight), np.arange(CHUNK_LINES, weight.sum(), CHUNK_LINES),
+        side="right",
+    )
+    lines: list = [None] * kind.shape[0]
+    canon: dict[int, int] = {}
+    for lo, hi in zip([0, *ends.tolist()], [*ends.tolist(), kind.shape[0]]):
+        if lo == hi:
+            continue
+        per = used[lo:hi]
+        row = np.repeat(np.arange(hi - lo), per)
+        pick = np.repeat(offsets[lo:hi], per) + segmented_arange(per)
+        base = kernel.addrs[pick]
+        first = base // line_bytes
+        count = (base + span[lo:hi][row] - 1) // line_bytes - first + 1
+        row = np.repeat(row, count)
+        line = np.repeat(first, count) + segmented_arange(count)
+        # Sort by (row, line) and keep the first of each run.
+        low = int(line.min()) if line.size else 0
+        width = int(line.max()) - low + 1 if line.size else 1
+        if (hi - lo) * width < 1 << 62:
+            packed = row * width + (line - low)
+            packed.sort()
+            row, line = packed // width, packed % width + low
+        else:
+            order = np.lexsort((line, row))
+            row, line = row[order], line[order]
+        keep = np.ones(row.shape[0], dtype=bool)
+        keep[1:] = (row[1:] != row[:-1]) | (line[1:] != line[:-1])
+        row, line = row[keep], line[keep] * line_bytes
+        # One object per distinct line value: sort the chunk's lines once
+        # more, make each distinct value once and gather the references.
+        order = np.argsort(line, kind="stable")
+        ranked = line[order]
+        new = np.ones(ranked.shape[0], dtype=bool)
+        new[1:] = ranked[1:] != ranked[:-1]
+        values = [canon.setdefault(v, v) for v in ranked[new].tolist()]
+        rank = np.empty(line.shape[0], dtype=np.int64)
+        rank[order] = np.cumsum(new) - 1
+        objects = list(map(values.__getitem__, rank.tolist()))
+        bounds = np.concatenate(
+            ([0], np.cumsum(np.bincount(row, minlength=hi - lo)))
+        ).tolist()
+        for index in np.flatnonzero(used[lo:hi]).tolist():
+            lines[lo + index] = objects[bounds[index]:bounds[index + 1]]
+    return lines
 
 
 def pack_kernel(kernel: KernelTrace, config: GpuConfig) -> PackedKernel:

@@ -512,36 +512,28 @@ class ReferenceBackend:
     # -- warp-load coalescing (repro/gpusim/gpu.py) -----------------------
 
     def coalesce_lines(
-        self,
-        addrs: tuple[int, ...],
-        bytes_per_thread: int,
-        line_bytes: int,
-        intern: dict[int, int] | None = None,
+        self, addrs: tuple[int, ...], bytes_per_thread: int, line_bytes: int
     ) -> list[int]:
         """Unique cache-line addresses touched by a warp load, sorted.
 
-        ``intern`` maps each line address seen so far to the one int
-        object that stands for it; every line is looked up there as it is
-        computed, so the calls sharing one dict (an SoA pack) hold one
-        object per distinct line.
+        The per-cycle path's scalar oracle (:meth:`SmCore.issue
+        <repro.gpusim.gpu.SmCore.issue>`): it works from the raw
+        addresses, one at a time, independently of the event engine's
+        vectorized pack (:mod:`repro.gpusim.soa`).
         """
         span = max(1, bytes_per_thread)
-        canon = (intern if intern is not None else {}).setdefault
         lines = set()
         add = lines.add
         if span <= line_bytes:
             # Common case: each access straddles at most two lines.
             for base in addrs:
                 first = base - base % line_bytes
-                add(canon(first, first))
+                add(first)
                 last = base + span - 1
-                last_line = last - last % line_bytes
-                if last_line != first:
-                    add(canon(last_line, last_line))
+                add(last - last % line_bytes)
         else:
             for base in addrs:
                 first = (base // line_bytes) * line_bytes
                 last = ((base + span - 1) // line_bytes) * line_bytes
-                for line in range(first, last + 1, line_bytes):
-                    add(canon(line, line))
+                lines.update(range(first, last + 1, line_bytes))
         return sorted(lines)

@@ -49,17 +49,14 @@ def to_traces(
 
     ``euclid_width`` is the HSU datapath width :func:`lower_hsu` targets.
     """
-    baseline = KernelTrace(name=f"{run.name}-baseline")
-    hsu = KernelTrace(name=f"{run.name}-hsu")
-    for index, ops in enumerate(run.warp_ops):
-        label = f"{run.name}/w{index}"
-        baseline.warps.append(
-            lower_baseline(ops, run.style, cost=cost, label=label)
-        )
-        hsu.warps.append(
-            lower_hsu(
-                ops, run.style, cost=cost, euclid_width=euclid_width,
-                label=label,
-            )
-        )
-    return TraceBundle(baseline=baseline, hsu=hsu)
+    labels = [f"{run.name}/w{index}" for index in range(len(run.warp_ops))]
+    return TraceBundle(
+        baseline=lower_baseline(
+            run.warp_ops, run.style, cost=cost,
+            name=f"{run.name}-baseline", labels=labels,
+        ),
+        hsu=lower_hsu(
+            run.warp_ops, run.style, cost=cost, euclid_width=euclid_width,
+            name=f"{run.name}-hsu", labels=labels,
+        ),
+    )

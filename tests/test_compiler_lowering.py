@@ -18,6 +18,16 @@ from repro.errors import TraceError
 from repro.gpusim.trace import KIND_ALU, KIND_HSU, KIND_LDG, KIND_LDS, KIND_SFU
 
 
+def hsu_warp(ops, style, **kwargs):
+    """The HSU lowering of one warp's op stream (a one-warp trace's warp)."""
+    return lower_hsu([ops], style, **kwargs).warps[0]
+
+
+def baseline_warp(ops, style, **kwargs):
+    """The baseline lowering of one warp's op stream."""
+    return lower_baseline([ops], style, **kwargs).warps[0]
+
+
 def dist_op(n=4, dim=96, metric=METRIC_EUCLID):
     return WarpOp("TDist", tuple(1000 * i for i in range(1, n + 1)), n,
                   a=dim, meta=metric)
@@ -30,7 +40,7 @@ def box_op(n=8, boxes=2):
 
 class TestHsuLowering:
     def test_euclid_beats(self):
-        trace = lower_hsu([dist_op(dim=96)], STYLE_PARALLEL)
+        trace = hsu_warp([dist_op(dim=96)], STYLE_PARALLEL)
         (instr,) = trace.instructions
         assert instr.kind == KIND_HSU
         assert instr.opcode is Opcode.POINT_EUCLID
@@ -42,7 +52,7 @@ class TestHsuLowering:
         )
 
     def test_angular_beats_and_epilogue(self):
-        trace = lower_hsu([dist_op(dim=65, metric=METRIC_ANGULAR)],
+        trace = hsu_warp([dist_op(dim=65, metric=METRIC_ANGULAR)],
                           STYLE_PARALLEL)
         hsu, sfu = trace.instructions
         assert hsu.opcode is Opcode.POINT_ANGULAR
@@ -51,12 +61,12 @@ class TestHsuLowering:
 
     def test_width_sweep_changes_beats(self):
         for width, beats in ((8, 12), (16, 6), (32, 3)):
-            trace = lower_hsu([dist_op(dim=96)], STYLE_PARALLEL,
+            trace = hsu_warp([dist_op(dim=96)], STYLE_PARALLEL,
                               euclid_width=width)
             assert trace.instructions[0].beats == beats
 
     def test_box_is_single_instruction(self):
-        trace = lower_hsu([box_op()], STYLE_PARALLEL)
+        trace = hsu_warp([box_op()], STYLE_PARALLEL)
         (instr,) = trace.instructions
         assert instr.opcode is Opcode.RAY_INTERSECT
         assert instr.beats == 1
@@ -64,7 +74,7 @@ class TestHsuLowering:
 
     def test_keycmp_beats(self):
         op = WarpOp("TKeyCmp", (4096,), 32, a=255)
-        trace = lower_hsu([op], STYLE_COOPERATIVE)
+        trace = hsu_warp([op], STYLE_COOPERATIVE)
         (instr,) = trace.instructions
         assert instr.opcode is Opcode.KEY_COMPARE
         assert instr.beats == math.ceil(255 / 36)
@@ -74,13 +84,13 @@ class TestHsuLowering:
     def test_unknown_metric_rejected(self):
         bad = WarpOp("TDist", (0,), 1, a=4, meta="manhattan")
         with pytest.raises(TraceError):
-            lower_hsu([bad], STYLE_PARALLEL)
+            hsu_warp([bad], STYLE_PARALLEL)
 
 
 class TestBaselineLowering:
     def test_parallel_dist_expansion(self):
         cost = CostModel()
-        trace = lower_baseline([dist_op(dim=3)], STYLE_PARALLEL, cost=cost)
+        trace = baseline_warp([dist_op(dim=3)], STYLE_PARALLEL, cost=cost)
         kinds = [i.kind for i in trace.instructions]
         # Split loads then the scalar arithmetic.
         assert kinds.count(KIND_LDG) == cost.scalar_dist_loads
@@ -90,7 +100,7 @@ class TestBaselineLowering:
         assert alu.chain == cost.scalar_dist_chain(3)
 
     def test_cooperative_dist_is_per_candidate(self):
-        trace = lower_baseline([dist_op(n=3, dim=96)], STYLE_COOPERATIVE)
+        trace = baseline_warp([dist_op(n=3, dim=96)], STYLE_COOPERATIVE)
         ldgs = [i for i in trace.instructions if i.kind == KIND_LDG]
         alus = [i for i in trace.instructions if i.kind == KIND_ALU]
         assert len(ldgs) == 3  # one coalesced load per candidate
@@ -100,14 +110,14 @@ class TestBaselineLowering:
 
     def test_box_split_loads(self):
         cost = CostModel()
-        trace = lower_baseline([box_op(boxes=2)], STYLE_PARALLEL, cost=cost)
+        trace = baseline_warp([box_op(boxes=2)], STYLE_PARALLEL, cost=cost)
         ldgs = [i for i in trace.instructions if i.kind == KIND_LDG]
         assert len(ldgs) == cost.box_loads_per_child * 2
         alu = trace.instructions[-1]
         assert alu.repeat == cost.box_alu_per_box * 2
 
     def test_all_expanded_ops_tagged_hsu_able(self):
-        trace = lower_baseline(
+        trace = baseline_warp(
             [dist_op(dim=3), box_op()], STYLE_PARALLEL
         )
         for instr in trace.instructions:
@@ -120,7 +130,7 @@ class TestBaselineLowering:
             WarpOp("TShared", (), 16, a=2),
             WarpOp("TLoad", (512,), 16, a=64),
         ]
-        trace = lower_baseline(ops, STYLE_PARALLEL)
+        trace = baseline_warp(ops, STYLE_PARALLEL)
         assert all(not i.hsu_able for i in trace.instructions)
         assert [i.kind for i in trace.instructions] == [
             KIND_ALU, KIND_LDS, KIND_LDG,
@@ -128,7 +138,7 @@ class TestBaselineLowering:
 
     def test_unknown_style_rejected(self):
         with pytest.raises(TraceError):
-            lower_baseline([dist_op()], "magic")
+            baseline_warp([dist_op()], "magic")
 
 
 class TestPairing:
@@ -140,8 +150,8 @@ class TestPairing:
             dist_op(dim=32),
             WarpOp("TShared", (), 8, a=3),
         ]
-        base = lower_baseline(ops, STYLE_PARALLEL)
-        hsu = lower_hsu(ops, STYLE_PARALLEL)
+        base = baseline_warp(ops, STYLE_PARALLEL)
+        hsu = hsu_warp(ops, STYLE_PARALLEL)
         base_common = [
             (i.kind, i.repeat, i.active)
             for i in base.instructions
@@ -156,8 +166,8 @@ class TestPairing:
 
     def test_hsu_trace_is_shorter(self):
         ops = [dist_op(dim=96) for _ in range(10)]
-        base = lower_baseline(ops, STYLE_COOPERATIVE)
-        hsu = lower_hsu(ops, STYLE_COOPERATIVE)
+        base = baseline_warp(ops, STYLE_COOPERATIVE)
+        hsu = hsu_warp(ops, STYLE_COOPERATIVE)
         base_slots = sum(i.repeat for i in base.instructions)
         hsu_slots = sum(
             i.repeat for i in hsu.instructions if i.kind != KIND_HSU
@@ -174,6 +184,6 @@ class TestLayoutIntegration:
             (points.element(0, 12), points.element(99, 12)),
             2, a=3, meta=METRIC_EUCLID,
         )
-        trace = lower_hsu([op], STYLE_PARALLEL)
+        trace = hsu_warp([op], STYLE_PARALLEL)
         assert trace.instructions[0].addrs[1] - trace.instructions[0].addrs[0] \
             == 99 * 12

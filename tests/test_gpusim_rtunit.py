@@ -101,8 +101,8 @@ class TestLatencyPerOpcode:
     def test_result_ready_is_fetch_plus_beats_plus_depth(
         self, op, euclid_width, opcode, width, beats
     ):
-        trace = lower_hsu([op], STYLE_PARALLEL, euclid_width=euclid_width)
-        (instr,) = [i for i in trace.instructions if i.kind == KIND_HSU]
+        trace = lower_hsu([[op]], STYLE_PARALLEL, euclid_width=euclid_width)
+        (instr,) = [i for i in trace.warps[0].instructions if i.kind == KIND_HSU]
         assert instr.opcode is opcode
         if width is not None:
             assert beat_count(op.a, width) == beats

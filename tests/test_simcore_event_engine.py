@@ -20,7 +20,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.isa import Opcode
-from repro.gpusim import soa
 from repro.gpusim.config import (
     MEMORY_MODELS,
     SCHEDULER_POLICIES,
@@ -327,30 +326,27 @@ class TestPackContract:
             assert pack_key(other) != pack_key(SMALL)
             assert _columns(pack_kernel(kernel, other)) != columns
 
-    def test_pack_holds_one_int_per_distinct_line(self, monkeypatch):
+    def test_pack_holds_one_int_per_distinct_line(self):
+        """The pack's line lists are the scalar coalescers' sets over the
+        raw addresses, with one int object per distinct line value."""
         kernel = random_kernel(random.Random(11), num_warps=48)
-        interned = pack_kernel(kernel, SMALL)
-        # An uninterned pack: every coalescing call without the pack's dict.
-        backend = type(get_backend())
-        coalesce = backend.coalesce_lines
-        monkeypatch.setattr(
-            backend, "coalesce_lines",
-            lambda self, addrs, size, line_bytes, intern=None:
-                coalesce(self, addrs, size, line_bytes),
-        )
-        monkeypatch.setattr(
-            soa, "hsu_coalesced_lines",
-            lambda instr, line_bytes, intern=None:
-                hsu_coalesced_lines(instr, line_bytes),
-        )
-        plain = pack_kernel(kernel, SMALL)
-        assert _columns(interned) == _columns(plain)
+        packed = pack_kernel(kernel, SMALL)
+        coalesce = get_backend().coalesce_lines
+        line_bytes = SMALL.line_bytes
+        plain = [
+            coalesce(i.addrs, i.bytes_per_thread, line_bytes)
+            if i.kind == "ldg"
+            else hsu_coalesced_lines(i, line_bytes) if i.kind == "hsu"
+            else None
+            for warp in kernel.warps for i in warp.instructions
+        ]
+        assert packed.lines == plain
 
-        def counts(packed):
-            lines = [line for ln in packed.lines if ln for line in ln]
-            return len(lines), len(set(lines)), len({id(x) for x in lines})
+        def counts(lines):
+            flat = [line for ln in lines if ln for line in ln]
+            return len(flat), len(set(flat)), len({id(x) for x in flat})
 
-        pairs, distinct, objects = counts(interned)
+        pairs, distinct, objects = counts(packed.lines)
         assert objects == distinct < pairs
         assert counts(plain)[2] > distinct
 
