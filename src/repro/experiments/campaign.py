@@ -81,7 +81,9 @@ from repro.gpusim.trace import KernelTrace
 #: (fractional L2/DRAM port budgets now accumulate inside
 #: ``repro.gpusim.resource.Port``), which shifts cycle counts slightly;
 #: ``GpuConfig`` also gained the ``scheduler``/``memory`` fields.
-CACHE_SCHEMA_VERSION = 2
+#: v3: trace fingerprints digest the trace's columns instead of the
+#: ``repr`` of every instruction, so every trace fingerprint moved.
+CACHE_SCHEMA_VERSION = 3
 
 #: Default per-job timeout (seconds) for pool execution; a group's budget
 #: is ``timeout * len(group)``.

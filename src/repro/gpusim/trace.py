@@ -89,6 +89,13 @@ COLUMNS = {
 }
 
 
+#: First part of every fingerprint: the code tables the columns use.
+_FINGERPRINT_TAG = (
+    f"kernel-trace kinds={','.join(_KINDS)} "
+    f"opcodes={','.join(opcode.value for opcode in OPCODES)}"
+).encode("utf-8")
+
+
 class WarpInstr(NamedTuple):
     """One warp-level instruction as a read-only record: a row of a
     :class:`KernelTrace` read back (:attr:`KernelTrace.warps`), or a row
@@ -283,27 +290,34 @@ class KernelTrace:
     def fingerprint(self) -> str:
         """Stable content hash of the whole trace (hex digest).
 
-        Covers every field of every instruction of every warp (plus warp
-        labels and the kernel name), so two traces hash equal iff the
-        simulator would see identical inputs.  The campaign result cache
+        Covers the kernel name, every warp label and offset, every
+        address and its offsets, and every column of :data:`COLUMNS`, so
+        two traces hash equal iff the simulator would see identical
+        inputs.  Each part is digested as its byte length and its bytes,
+        every int array as little-endian int64, after a tag naming the
+        kind and opcode codes.  The campaign result cache
         (:mod:`repro.experiments.campaign`) uses this as the trace
         component of its content-addressed keys: any change to workload
         code or lowering that alters the emitted trace changes the
         fingerprint and therefore busts the cache.
         """
+        labels = [label.encode("utf-8") for label in self.labels]
+        arrays = (
+            np.array([len(label) for label in labels]),
+            self.warp_offsets,
+            self.addr_offsets,
+            self.addrs,
+            *(getattr(self, key) for key in COLUMNS),
+        )
         digest = hashlib.blake2b(digest_size=20)
-        digest.update(self.name.encode("utf-8"))
-        for warp in self.warps:
-            parts = [b"\x00warp\x00", warp.label.encode("utf-8")]
-            append = parts.append
-            for i in warp.instructions:
-                opcode = i.opcode.value if i.opcode is not None else None
-                append(
-                    f"({i.kind!r}, {i.active!r}, {i.repeat!r}, {i.addrs!r},"
-                    f" {i.bytes_per_thread!r}, {opcode!r}, {i.beats!r},"
-                    f" {i.hsu_able!r}, {i.chain!r})".encode("utf-8")
-                )
-            digest.update(b"".join(parts))
+        for part in (
+            _FINGERPRINT_TAG,
+            self.name.encode("utf-8"),
+            b"".join(labels),
+            *(np.asarray(array, dtype="<i8").tobytes() for array in arrays),
+        ):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
         return digest.hexdigest()
 
     def __repr__(self) -> str:
