@@ -49,6 +49,7 @@ from repro.serving import (  # noqa: E402 - path bootstrap above
     BatchPolicy,
     QueryService,
     TrafficShape,
+    arrival_times,
     build_endpoint,
     calibrate,
     run_open_loop,
@@ -60,8 +61,12 @@ DEFAULT_OUTPUT = REPO_ROOT / "BENCH_serving.json"
 #: under this; the committed-JSON gate is the tight(er) bound.
 DEFAULT_P99_BOUND_MS = 250.0
 
-#: (shape template, endpoint kind, policy) per benchmark scenario; the
-#: duration is scaled down in --smoke mode.
+#: Arrivals per shape in --smoke mode: ten of them lie beyond the p99
+#: the gate reads, so one slow request cannot move it alone.
+SMOKE_REQUESTS = 1000
+
+#: (shape template, endpoint kind, policy) per benchmark scenario; in
+#: --smoke mode each shape runs just long enough for SMOKE_REQUESTS.
 SCENARIOS = (
     (
         TrafficShape(name="poisson_point", rate_qps=300.0, duration_s=1.0,
@@ -85,13 +90,20 @@ SCENARIOS = (
 )
 
 
-def _scaled(shape: TrafficShape, duration_s: float) -> TrafficShape:
+def _scaled(shape: TrafficShape, duration_s: float | None) -> TrafficShape:
+    """``shape`` over ``duration_s`` seconds, or (``None``) over the
+    shortest window holding :data:`SMOKE_REQUESTS` of its arrivals."""
     from dataclasses import replace
 
-    return replace(shape, duration_s=duration_s)
+    if duration_s is not None:
+        return replace(shape, duration_s=duration_s)
+    scaled = replace(shape, duration_s=SMOKE_REQUESTS / shape.rate_qps)
+    while arrival_times(scaled).size < SMOKE_REQUESTS:
+        scaled = replace(scaled, duration_s=scaled.duration_s * 1.05)
+    return scaled
 
 
-async def _run_scenarios(duration_s: float) -> dict[str, object]:
+async def _run_scenarios(duration_s: float | None) -> dict[str, object]:
     service = QueryService()
     rows = []
     models = {}
@@ -122,16 +134,19 @@ async def _run_scenarios(duration_s: float) -> dict[str, object]:
         row["mismatches"] = mismatches
         rows.append(row)
         print(
-            f"  {report.shape}: {report.qps:.0f} qps, "
+            f"  {report.shape} ({run_shape.duration_s:.2f}s, "
+            f"{report.offered} offered): {report.qps:.0f} qps, "
             f"p50 {report.p50_ms:.2f}ms p99 {report.p99_ms:.2f}ms, "
             f"mean batch {report.mean_batch:.1f}, "
             f"rejected {report.rejected}, mismatches {mismatches}",
             flush=True,
         )
     await service.close()
+    window = (f"duration_s={duration_s}" if duration_s is not None
+              else f"{SMOKE_REQUESTS} arrivals per shape")
     return {
         "benchmark": "serving-open-loop",
-        "protocol": f"open-loop asyncio, duration_s={duration_s}, "
+        "protocol": f"open-loop asyncio, {window}, "
         "answers replayed through query_batch",
         "duration_s": duration_s,
         "shapes": rows,
@@ -197,7 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--duration", type=float, default=1.0, metavar="S",
                         help="virtual seconds per traffic shape (default 1.0)")
     parser.add_argument("--smoke", action="store_true",
-                        help="CI mode: 0.4s shapes plus the full gate set")
+                        help=f"CI mode: {SMOKE_REQUESTS} arrivals per shape "
+                        "plus the full gate set")
     parser.add_argument("--check", action="store_true",
                         help="run the gates against the committed "
                         "BENCH_serving.json without shortening the run")
@@ -212,11 +228,13 @@ def main(argv: list[str] | None = None) -> int:
                         help="result JSON path (default: repo root)")
     args = parser.parse_args(argv)
 
-    duration = 0.4 if args.smoke else args.duration
+    duration = None if args.smoke else args.duration
     check = args.check or args.smoke
     reference = _committed_shapes(args.output)
 
-    print(f"open-loop serving benchmark, {duration}s per shape:")
+    print("open-loop serving benchmark, "
+          + (f"{duration}s" if duration else f"{SMOKE_REQUESTS} arrivals")
+          + " per shape:")
     result = asyncio.run(_run_scenarios(duration))
 
     args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")

@@ -45,7 +45,6 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=1)
 def run_workload(
     family: str, abbr: str, queries: int | None = None,
     metric: str = "euclid",
@@ -56,7 +55,9 @@ def run_workload(
     ``metric`` selects the distance metric for the ``arkade`` family
     (every other family is Euclidean-only — see docs/WORKLOADS.md).  The
     guard below protects direct calls; a campaign ``Job`` has already
-    checked its axes.
+    checked its axes.  The memo is keyed on the normalized arguments
+    (the resolved query count), so every spelling of one run — keyword
+    or positional, ``None`` or the default count — executes it once.
     """
     from repro.experiments import common  # deferred: registry lives there
 
@@ -65,7 +66,14 @@ def run_workload(
             f"non-Euclidean metrics are only lowered for the arkade "
             f"family (got {family!r} with metric={metric!r})"
         )
-    count = common.resolved_queries(family, abbr, queries)
+    return _execute(
+        family, abbr, common.resolved_queries(family, abbr, queries), metric
+    )
+
+
+@lru_cache(maxsize=1)
+def _execute(family: str, abbr: str, count: int, metric: str) -> WorkloadRun:
+    """:func:`run_workload`'s memo over normalized arguments."""
     if family == "ggnn":
         from repro.workloads.ggnn import run_ggnn
 
@@ -87,6 +95,12 @@ def run_workload(
 
         return run_arkade(abbr, num_queries=count, metric=metric)
     raise ConfigError(f"unknown workload family {family!r}")
+
+
+#: The memo's probes under the public name: ``cache_info().misses``
+#: counts workload executions.
+run_workload.cache_info = _execute.cache_info
+run_workload.cache_clear = _execute.cache_clear
 
 
 @lru_cache(maxsize=1)
@@ -141,7 +155,7 @@ def _job_stats(job: campaign.Job) -> SimStats:
 
 #: The memos :func:`release_workloads` empties, bound here so that a
 #: wrapper installed over a module name (a tracer's) cannot hide them.
-_WORKLOAD_MEMOS = (run_workload, trace_bundle, sharded_trace_bundle)
+_WORKLOAD_MEMOS = (_execute, trace_bundle, sharded_trace_bundle)
 
 
 def release_workloads() -> None:

@@ -25,9 +25,9 @@ for all ops of its kind at once, straight into the columns of a
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -374,12 +374,16 @@ class _OpTable:
         self.b = np.fromiter(b, np.int64, count)
         self.meta = meta
         self.metric = np.fromiter(
-            map(_METRIC_CODES.get, meta, repeat(len(_METRICS))), np.int64, count
+            map(_METRIC_CODES.get, meta, itertools.repeat(len(_METRICS))),
+            np.int64,
+            count,
         )
         self.num_addrs = np.fromiter(map(len, addrs), np.int64, count)
         self.addr_starts = np.cumsum(self.num_addrs) - self.num_addrs
         self.addrs = np.fromiter(
-            chain.from_iterable(addrs), np.int64, int(self.num_addrs.sum())
+            itertools.chain.from_iterable(addrs),
+            np.int64,
+            int(self.num_addrs.sum()),
         )
 
     def select(self, code: int) -> np.ndarray:

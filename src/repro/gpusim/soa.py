@@ -1,12 +1,11 @@
 """Structure-of-arrays trace lowering for the event engine.
 
-Issuing straight from :class:`~repro.gpusim.trace.WarpInstr` objects (as
-:meth:`~repro.gpusim.gpu.SmCore.issue` does) costs five attribute reads,
-a string compare per kind, and (for loads) a fresh coalescing pass per
-issued instruction.  :func:`pack_kernel` lowers a
-:class:`~repro.gpusim.trace.KernelTrace` once, at ingest, into flat
-per-instruction columns indexed ``gi = starts[warp] + position`` (a CSR
-layout over warps):
+:func:`pack_kernel` derives, once per trace at ingest, the per-instruction
+columns the engine's inner loop indexes as ``gi = starts[warp] +
+position`` (a CSR layout over warps).  It reads the trace's own columns
+(:mod:`repro.gpusim.trace`) with numpy: every column below is a whole-trace
+array expression, except the line sets, which are cut in chunks of
+instructions (:data:`CHUNK_LINES`) so their temporaries stay a few MB:
 
 * ``kind`` — integer kind code (:data:`KIND_CODES`),
 * ``hold`` — sub-core issue-port occupancy in cycles (``repeat``, or 1
@@ -36,16 +35,19 @@ layout over warps):
   attribution for the pure events it handles, see
   :mod:`repro.gpusim.engine`).  Placement uses the same
   round-robin ``smi = warp_index % num_sms`` as the engine,
-* ``lines`` — the precomputed coalesced line list (LDG: the backend's
-  ``coalesce_lines`` kernel over all thread addresses; HSU:
-  :func:`~repro.gpusim.rtunit.hsu_coalesced_lines` over active threads).
-  Both intern the line addresses through one dict per pack, so a pack
-  holds one int object per distinct line, not one per (instruction,
-  line) pair,
+* ``lines`` — each LDG/HSU instruction's sorted set of distinct cache
+  lines (LDG: over all thread addresses; HSU: over the active threads'),
+  the sets the per-cycle path's scalar coalescers compute from the raw
+  addresses (the backend's ``coalesce_lines`` and
+  :func:`~repro.gpusim.rtunit.hsu_coalesced_lines`): ``addr //
+  line_bytes`` over the flat address array, then one sort and an
+  adjacent compare per chunk.  A pack holds one int object per distinct
+  line, not one per (instruction, line) pair,
 * ``hsubusy`` — HSU datapath occupancy (``active * beats``).
 
 Columns are plain Python lists (fastest for the engine's scalar
-indexing).  Packing reads only the config fields named in
+indexing); the ``attrs`` tuples are likewise one object per distinct
+pair.  Packing reads only the config fields named in
 :data:`PACK_FIELDS` (their values form the *pack key*,
 :func:`pack_key`) — never warp-buffer size, scheduler or memory model —
 and is a pure function of the trace, so it cannot perturb fingerprints,
@@ -133,11 +135,13 @@ class PackedKernel:
         busy = off[pure] + 1
         able_pure = able[pure]
 
-        def per_sm(weights, index=sm, size=num_sms):
-            return np.bincount(index, weights, size).astype(np.int64).tolist()
+        def per_sm(weights):
+            return np.bincount(sm, weights, num_sms).astype(np.int64).tolist()
 
-        kinds_flat = per_sm(rep[pure], sm * 5 + kind[pure], num_sms * 5)
-        self.static_kinds = [kinds_flat[5 * i:5 * i + 5] for i in range(num_sms)]
+        self.static_kinds = (
+            np.bincount(sm * 5 + kind[pure], rep[pure], num_sms * 5)
+            .astype(np.int64).reshape(num_sms, 5).tolist()
+        )
         self.static_wi = per_sm(rep[pure])
         self.static_able = per_sm(np.where(able_pure, busy, 0))
         self.static_other = per_sm(np.where(able_pure, 0, busy))
@@ -205,18 +209,10 @@ def _line_sets(kernel: KernelTrace, line_bytes: int) -> list:
         kernel.bytes_per_thread.astype(np.int64)
         * np.where(hsu, kernel.beats, 1),
     )
-    # Lines one address can touch at most, summed per instruction: the
-    # chunk budget.
-    weight = used * ((span - 1) // line_bytes + 2)
-    ends = np.searchsorted(
-        np.cumsum(weight), np.arange(CHUNK_LINES, weight.sum(), CHUNK_LINES),
-        side="right",
-    )
     lines: list = [None] * kind.shape[0]
     canon: dict[int, int] = {}
-    for lo, hi in zip([0, *ends.tolist()], [*ends.tolist(), kind.shape[0]]):
-        if lo == hi:
-            continue
+    # At most this many lines per address, summed per instruction.
+    for lo, hi in _chunks(used * ((span - 1) // line_bytes + 2)):
         per = used[lo:hi]
         row = np.repeat(np.arange(hi - lo), per)
         pick = np.repeat(offsets[lo:hi], per) + segmented_arange(per)
@@ -254,6 +250,19 @@ def _line_sets(kernel: KernelTrace, line_bytes: int) -> list:
         for index in np.flatnonzero(used[lo:hi]).tolist():
             lines[lo + index] = objects[bounds[index]:bounds[index + 1]]
     return lines
+
+
+def _chunks(weight: np.ndarray) -> list[tuple[int, int]]:
+    """Consecutive non-empty row ranges ``(lo, hi)`` covering every row,
+    cut where the running total of ``weight`` passes a multiple of
+    :data:`CHUNK_LINES`: a range weighs at most that plus its first
+    row."""
+    ends = np.searchsorted(
+        np.cumsum(weight), np.arange(CHUNK_LINES, weight.sum(), CHUNK_LINES),
+        side="right",
+    ).tolist()
+    bounds = [0, *ends, weight.shape[0]]
+    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
 
 
 def pack_kernel(kernel: KernelTrace, config: GpuConfig) -> PackedKernel:

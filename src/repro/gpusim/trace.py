@@ -158,6 +158,13 @@ def _check_rows(columns: dict[str, np.ndarray], num_addrs: np.ndarray) -> None:
         (hsu & (num_addrs == 0), None,
          "hsu instruction requires fetch addresses"),
         (hsu & (columns["beats"] < 1), None, "beats must be >= 1"),
+        ((columns["hsu_able"] < 0) | (columns["hsu_able"] > 1), "hsu_able",
+         "hsu_able must be 0 or 1, got {}"),
+    ) + tuple(
+        ((columns[key] < np.iinfo(dtype).min)
+         | (columns[key] > np.iinfo(dtype).max), key,
+         f"{key} {{}} does not fit its {np.dtype(dtype).name} column")
+        for key, dtype in COLUMNS.items()
     )
     for bad, name, message in rules:
         if bad.any():

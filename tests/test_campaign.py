@@ -503,6 +503,42 @@ class TestGroupRelease:
         assert memo.cache_info().currsize == 0
 
 
+class TestWorkloadMemo:
+    """One workload run is one memo entry, however the call spells it."""
+
+    def test_spellings_share_one_execution(self, monkeypatch):
+        from repro.workloads import btree_kv
+
+        counts = _count_calls(monkeypatch, btree_kv, "run_btree")
+        default = common.resolved_queries("btree", "B+10K")
+        first = api.run_workload("btree", "B+10K")
+        for call in (
+            lambda: api.run_workload("btree", "B+10K", None, "euclid"),
+            lambda: api.run_workload("btree", "B+10K", queries=default),
+            lambda: api.run_workload(
+                family="btree", abbr="B+10K", metric="euclid"
+            ),
+        ):
+            assert call() is first
+        assert counts["calls"] == 1
+        assert api.run_workload.cache_info().misses == 1
+
+    def test_metric_search_runs_each_arkade_workload_once(self, monkeypatch):
+        """Each metric's two simulations and its counter read share one
+        run on an empty cache."""
+        from repro.experiments import metric_search
+        from repro.workloads import arkade
+
+        counts = _count_calls(monkeypatch, arkade, "run_arkade")
+        metric_search.compute.cache_clear()
+        try:
+            rows = metric_search.compute()
+        finally:
+            metric_search.compute.cache_clear()
+        assert [row["metric"] for row in rows] == list(metric_search.METRICS)
+        assert counts["calls"] == len(metric_search.METRICS)
+
+
 class TestAblationJobs:
     """Ablation Tables D and E read the ``--families ablations`` jobs."""
 
