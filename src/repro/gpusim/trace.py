@@ -233,9 +233,9 @@ class KernelTrace:
             raise TraceError(f"trace columns must be exactly {list(COLUMNS)}")
         wide = {key: np.asarray(columns[key], dtype=np.int64) for key in COLUMNS}
         rows = wide["kind"].shape[0]
-        warp_offsets = np.asarray(warp_offsets, dtype=np.int64)
-        addr_offsets = np.asarray(addr_offsets, dtype=np.int64)
-        addrs = np.asarray(addrs, dtype=np.int64)
+        warp_offsets = np.array(warp_offsets, dtype=np.int64)
+        addr_offsets = np.array(addr_offsets, dtype=np.int64)
+        addrs = np.array(addrs, dtype=np.int64)
         if (
             any(column.shape != (rows,) for column in wide.values())
             or warp_offsets.shape != (len(labels) + 1,)
@@ -256,6 +256,10 @@ class KernelTrace:
         self.addrs = addrs
         for key, dtype in COLUMNS.items():
             setattr(self, key, wide[key].astype(dtype))
+        # The trace owns its arrays and they stay as validated.
+        for array in (warp_offsets, addr_offsets, addrs,
+                      *(getattr(self, key) for key in COLUMNS)):
+            array.flags.writeable = False
 
     @property
     def num_warps(self) -> int:

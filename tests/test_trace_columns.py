@@ -319,6 +319,12 @@ class TestValidation:
         with pytest.raises(TraceError, match=message):
             _columnar([GOOD, {**GOOD, **change}])
 
+    def test_validated_columns_cannot_be_edited(self):
+        kernel = random_trace(0)
+        for key in ("addrs", "addr_offsets", "warp_offsets", *COLUMNS):
+            with pytest.raises(ValueError):
+                getattr(kernel, key)[0] = 0
+
     def test_malformed_offsets_rejected(self):
         with pytest.raises(TraceError, match="malformed"):
             KernelTrace.from_columns(
