@@ -15,7 +15,10 @@ Every run also **replays the served query set** through the endpoint's
 ``query_batch`` directly and requires the answers to match exactly — the
 serving layer must be a scheduling policy, never a results change.
 
-Results land in ``BENCH_serving.json`` at the repo root::
+A plain run records ``BENCH_serving.json`` at the repo root; the gate
+modes read that committed file as their reference and write their own
+result under the gitignored ``results/`` (or to ``--output``), so a
+local gate run never rewrites what later runs are checked against::
 
     python benchmarks/bench_serving.py              # full shapes, write JSON
     python benchmarks/bench_serving.py --smoke      # CI: short run + gates
@@ -56,6 +59,8 @@ from repro.serving import (  # noqa: E402 - path bootstrap above
 )
 
 DEFAULT_OUTPUT = REPO_ROOT / "BENCH_serving.json"
+#: Where ``--smoke``/``--check`` write their result by default.
+GATE_OUTPUT = REPO_ROOT / "results" / "BENCH_serving.json"
 
 #: Absolute p99 backstop (ms): even a cold shared runner must answer
 #: under this; the committed-JSON gate is the tight(er) bound.
@@ -224,21 +229,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--p99-bound", type=float,
                         default=DEFAULT_P99_BOUND_MS, metavar="MS",
                         help="absolute p99 backstop in ms (default 250)")
-    parser.add_argument("--output", type=Path, default=DEFAULT_OUTPUT,
-                        help="result JSON path (default: repo root)")
+    parser.add_argument("--output", type=Path, default=None,
+                        help="result JSON path (default: BENCH_serving.json "
+                        "at the repo root; results/BENCH_serving.json with "
+                        "--smoke/--check, which gate against the former)")
     args = parser.parse_args(argv)
 
     duration = None if args.smoke else args.duration
     check = args.check or args.smoke
-    reference = _committed_shapes(args.output)
+    output = args.output or (GATE_OUTPUT if check else DEFAULT_OUTPUT)
+    reference = _committed_shapes(DEFAULT_OUTPUT)
 
     print("open-loop serving benchmark, "
           + (f"{duration}s" if duration else f"{SMOKE_REQUESTS} arrivals")
           + " per shape:")
     result = asyncio.run(_run_scenarios(duration))
 
-    args.output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {args.output}")
+    output.parent.mkdir(parents=True, exist_ok=True)
+    output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {output}")
 
     if check and not _gate(result, reference, args.tolerance, args.p99_bound):
         return 1

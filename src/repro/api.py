@@ -17,29 +17,25 @@ and manifests with the campaign CLI.  A recorded, pre-lowered
 it under an explicit config with
 :func:`repro.experiments.campaign.cached_simulate`.
 
-The module also memoizes the last workload run (:func:`run_workload`)
-and the last lowered traces (:func:`trace_bundle` /
-:func:`sharded_trace_bundle`), which consecutive calls on one workload
-reuse.  A campaign runs one workload group at a time and empties these
-memos when each group ends (:func:`release_workloads`), so a finished
-group's run and traces do not outlive it.
+The module also memoizes the last workload run (:func:`run_workload`),
+from which each job of a campaign workload group lowers the one trace it
+simulates.  A campaign runs one workload group at a time and empties the
+memo when each group ends (:func:`release_workloads`), so a finished
+group's run does not outlive it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from repro.core.isa import EUCLID_WIDTH
 from repro.errors import ConfigError
 from repro.experiments import campaign
 from repro.gpusim.stats import SimStats
-from repro.workloads.base import TraceBundle, WorkloadRun, to_traces
+from repro.workloads.base import WorkloadRun
 
 __all__ = [
     "simulate",
     "run_workload",
-    "trace_bundle",
-    "sharded_trace_bundle",
     "release_workloads",
     "clear_caches",
 ]
@@ -47,14 +43,17 @@ __all__ = [
 
 def run_workload(
     family: str, abbr: str, queries: int | None = None,
-    metric: str = "euclid",
+    metric: str = "euclid", scale: float = 1.0, shards: int = 1,
+    shard: int = 0,
 ) -> WorkloadRun:
-    """Execute one named workload (memoized: the last run, which
-    :func:`trace_bundle` lowers again at each Fig. 10 width).
+    """Execute one named workload (memoized: the last run, which every
+    job of a campaign workload group lowers its trace from).
 
     ``metric`` selects the distance metric for the ``arkade`` family
-    (every other family is Euclidean-only — see docs/WORKLOADS.md).  The
-    guard below protects direct calls; a campaign ``Job`` has already
+    (every other family is Euclidean-only — see docs/WORKLOADS.md), and
+    ``scale``/``shards``/``shard`` one device of a multi-device BVH-NN run
+    (:func:`repro.workloads.bvhnn.run_bvhnn_sharded`, docs/SHARDING.md).
+    The guards below protect direct calls; a campaign ``Job`` has already
     checked its axes.  The memo is keyed on the normalized arguments
     (the resolved query count), so every spelling of one run — keyword
     or positional, ``None`` or the default count — executes it once.
@@ -66,14 +65,29 @@ def run_workload(
             f"non-Euclidean metrics are only lowered for the arkade "
             f"family (got {family!r} with metric={metric!r})"
         )
+    if (shards != 1 or scale != 1.0) and family != "bvhnn":
+        raise ConfigError(
+            f"sharded/scaled workloads are only lowered for the bvhnn "
+            f"family (got {family!r})"
+        )
     return _execute(
-        family, abbr, common.resolved_queries(family, abbr, queries), metric
+        family, abbr, common.resolved_queries(family, abbr, queries), metric,
+        scale, shards, shard,
     )
 
 
 @lru_cache(maxsize=1)
-def _execute(family: str, abbr: str, count: int, metric: str) -> WorkloadRun:
+def _execute(
+    family: str, abbr: str, count: int, metric: str, scale: float,
+    shards: int, shard: int,
+) -> WorkloadRun:
     """:func:`run_workload`'s memo over normalized arguments."""
+    if shards != 1 or scale != 1.0:
+        from repro.workloads.bvhnn import run_bvhnn_sharded
+
+        return run_bvhnn_sharded(
+            abbr, num_queries=count, scale=scale, shards=shards, shard=shard
+        )
     if family == "ggnn":
         from repro.workloads.ggnn import run_ggnn
 
@@ -103,49 +117,6 @@ run_workload.cache_info = _execute.cache_info
 run_workload.cache_clear = _execute.cache_clear
 
 
-@lru_cache(maxsize=1)
-def trace_bundle(
-    family: str,
-    abbr: str,
-    queries: int | None = None,
-    euclid_width: int = EUCLID_WIDTH,
-    metric: str = "euclid",
-) -> TraceBundle:
-    """Lowered paired traces for one named workload (memoized: the last
-    bundle, whose baseline and HSU jobs run back to back)."""
-    run = run_workload(family, abbr, queries, metric)
-    return to_traces(run, euclid_width=euclid_width)
-
-
-@lru_cache(maxsize=1)
-def sharded_trace_bundle(
-    abbr: str,
-    queries: int | None = None,
-    euclid_width: int = EUCLID_WIDTH,
-    scale: float = 1.0,
-    shards: int = 1,
-    shard: int = 0,
-) -> TraceBundle:
-    """Lowered paired traces for one shard of a multi-device BVH-NN run.
-
-    The trace models device ``shard`` of ``shards``: its BVH covers only
-    its Morton-range partition of the (optionally ``scale``-d) dataset,
-    and the full query batch is broadcast to it — see
-    :func:`repro.workloads.bvhnn.run_bvhnn_sharded` and docs/SHARDING.md.
-    The campaign runner routes sharded :class:`~repro.experiments.campaign.Job`\\ s
-    here, so the scaling sweep reuses its process pool and caches as the
-    shard executor.
-    """
-    from repro.experiments import common  # deferred: registry lives there
-    from repro.workloads.bvhnn import run_bvhnn_sharded
-
-    count = common.resolved_queries("bvhnn", abbr, queries)
-    run = run_bvhnn_sharded(
-        abbr, num_queries=count, scale=scale, shards=shards, shard=shard
-    )
-    return to_traces(run, euclid_width=euclid_width)
-
-
 @lru_cache(maxsize=256)
 def _job_stats(job: campaign.Job) -> SimStats:
     """Process-level memoization of named simulations (cache mode
@@ -153,22 +124,16 @@ def _job_stats(job: campaign.Job) -> SimStats:
     return campaign.run_job(job).stats
 
 
-#: The memos :func:`release_workloads` empties, bound here so that a
-#: wrapper installed over a module name (a tracer's) cannot hide them.
-_WORKLOAD_MEMOS = (_execute, trace_bundle, sharded_trace_bundle)
-
-
 def release_workloads() -> None:
-    """Empty the memos of workload runs and trace bundles; the campaign
-    calls this when a workload group's last job ends.  The process-lifetime
-    memos of built datasets, indexes and graphs are kept."""
-    for memo in _WORKLOAD_MEMOS:
-        memo.cache_clear()
+    """Empty the memo of the last workload run; the campaign calls this
+    when a workload group's last job ends.  The process-lifetime memos of
+    built datasets, indexes and graphs are kept."""
+    _execute.cache_clear()
 
 
 def clear_caches() -> None:
-    """Drop the process-level memoization (workload runs, trace bundles,
-    job stats).  The persistent on-disk campaign cache is unaffected."""
+    """Drop the process-level memoization (the workload run, job stats).
+    The persistent on-disk campaign cache is unaffected."""
     release_workloads()
     _job_stats.cache_clear()
 

@@ -54,7 +54,6 @@ def build_sah(
         ],
         dtype=np.float64,
     )
-    areas_cache: dict[int, float] = {}
 
     def half_area(box: Aabb) -> float:
         return box.half_area()
@@ -160,7 +159,6 @@ def build_sah(
             nodes[parent].children[position] = index
             nodes[index].parent = parent
 
-    del areas_cache
     return Bvh(
         nodes=nodes,
         prim_indices=order,

@@ -3,10 +3,12 @@
 The paper evaluates by post-processing SASS traces, "replac[ing] sequences
 of SASS instructions with our HSU instructions" (§V-C).  We mirror the
 methodology: workloads emit an abstract **op stream** while executing the
-real algorithm once; :func:`~repro.compiler.lowering.lower_baseline` expands
-each HSU-able op into the SIMD instruction sequence a CUDA kernel would
-execute, and :func:`~repro.compiler.lowering.lower_hsu` emits the equivalent
-HSU CISC instructions.  Everything not HSU-able lowers identically in both
+real algorithm once, assembled into one column table of warp ops
+(:class:`~repro.compiler.ops.WarpOps`);
+:func:`~repro.compiler.lowering.lower_baseline` expands each HSU-able op
+into the SIMD instruction sequence a CUDA kernel would execute, and
+:func:`~repro.compiler.lowering.lower_hsu` emits the equivalent HSU CISC
+instructions.  Everything not HSU-able lowers identically in both
 traces, so any cycle difference is attributable to the unit.
 """
 
@@ -23,6 +25,7 @@ from repro.compiler.ops import (
     TShared,
     TTri,
     WarpOp,
+    WarpOps,
 )
 
 __all__ = [
@@ -37,6 +40,7 @@ __all__ = [
     "TShared",
     "TTri",
     "WarpOp",
+    "WarpOps",
     "assemble_warps",
     "lower_baseline",
     "lower_hsu",

@@ -17,8 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from repro.compiler.ops import (
-    METRIC_ANGULAR,
-    METRIC_EUCLID,
+    PACKED_TALU,
+    PACKED_TBOX,
+    PACKED_TDIST,
+    PACKED_TSFU,
+    PACKED_TSHARED,
+    PACKED_TTRI,
     TAlu,
     TBox,
     TDist,
@@ -29,6 +33,7 @@ from repro.compiler.ops import (
     TTri,
     ThreadOp,
     WarpOp,
+    WarpOps,
 )
 from repro.errors import TraceError
 from repro.kernels import get_backend
@@ -36,29 +41,13 @@ from repro.search.events import segmented_arange
 
 WARP_SIZE = 32
 
-#: Kind codes of packed streams (indexes into this tuple).
-PACKED_KINDS = (
-    "TDist", "TBox", "TTri", "TKeyCmp", "TAlu", "TShared", "TSfu", "TLoad",
-)
-PACKED_TDIST = PACKED_KINDS.index("TDist")
-PACKED_TBOX = PACKED_KINDS.index("TBox")
-PACKED_TTRI = PACKED_KINDS.index("TTri")
-PACKED_TKEYCMP = PACKED_KINDS.index("TKeyCmp")
-PACKED_TALU = PACKED_KINDS.index("TAlu")
-PACKED_TSHARED = PACKED_KINDS.index("TShared")
-PACKED_TSFU = PACKED_KINDS.index("TSfu")
-PACKED_TLOAD = PACKED_KINDS.index("TLoad")
-_UNIFORM = frozenset((PACKED_TALU, PACKED_TSHARED, PACKED_TSFU))
-
-#: Metric codes for packed TDist ops (k2 indexes into this tuple).
-PACKED_METRICS = (METRIC_EUCLID, METRIC_ANGULAR)
-
 
 class PackedStreams:
     """Array-backed thread-op streams (the batch-engine op IR).
 
     Thread ``i``'s ops are rows ``[starts[i], starts[i + 1])`` in stream
-    order.  Per row: ``kinds`` is a :data:`PACKED_KINDS` code; ``k1``/``k2``
+    order.  Per row: ``kinds`` is a
+    :data:`~repro.compiler.ops.PACKED_KINDS` code; ``k1``/``k2``
     mirror the scalar assembler's shape key (TDist: dim / metric code;
     TBox: num_boxes / node_bytes; TKeyCmp and TLoad: k1 only); ``addr`` is
     the memory address of addressed kinds; ``cnt`` the instruction count
@@ -82,14 +71,16 @@ class PackedStreams:
 
 def assemble_warps_packed(
     streams: PackedStreams, warp_size: int = WARP_SIZE
-) -> list[list[WarpOp]]:
-    """:func:`assemble_warps` over packed streams — identical output.
+) -> WarpOps:
+    """:func:`assemble_warps` over packed streams, straight into columns:
+    the table :meth:`WarpOps.from_records` builds from the scalar
+    assembler's records, column for column.
 
-    Grouping runs as one composite sort per warp instead of a Python scan
-    per op: ops sort by (position, shape key, lane); groups order by
-    (position, first member lane), reproducing the scalar bucketer's
-    first-appearance order; members stay in lane order.  The equivalence
-    tests and the trace goldens pin the output WarpOp streams bit-for-bit
+    One grouping pass covers every warp of the run: ops sort stably by
+    (position, shape key) and split where the warp or the key changes,
+    so members stay in lane order; groups order by (warp, position, first
+    member lane), reproducing the scalar bucketer's first-appearance
+    order.  The equivalence tests and the trace goldens pin the table
     against the scalar assembler.
     """
     num_threads = streams.num_threads
@@ -98,80 +89,37 @@ def assemble_warps_packed(
     if not 1 <= warp_size <= WARP_SIZE:
         raise TraceError(f"warp_size {warp_size} outside [1, {WARP_SIZE}]")
     starts = streams.starts
-    warps: list[list[WarpOp]] = []
-    for base in range(0, num_threads, warp_size):
-        top = min(base + warp_size, num_threads)
-        lo, hi = int(starts[base]), int(starts[top])
-        count = hi - lo
-        if count == 0:
-            warps.append([])
-            continue
-        lengths = np.diff(starts[base : top + 1])
-        lane = np.repeat(np.arange(top - base, dtype=np.int64), lengths)
-        pos = segmented_arange(lengths, count)
-        span = slice(lo, hi)
-        kind_v = streams.kinds[span]
-        # The composite sort + group-boundary scan is a kernel-backend
-        # call; WarpOp construction below stays here (Python objects).
-        order, group_lo, group_hi, group_order = (
-            get_backend().warp_group_order(
-                pos, kind_v, streams.k1[span], streams.k2[span], lane,
-                WARP_SIZE,
-            )
-        )
-        addr_list = streams.addr[span][order].tolist()
-        cnt_list = streams.cnt[span][order].tolist()
-        k1_list = streams.k1[span][order].tolist()
-        k2_list = streams.k2[span][order].tolist()
-        kind_list = kind_v[order].tolist()
-        lo_list = group_lo.tolist()
-        hi_list = group_hi.tolist()
-        warp_ops: list[WarpOp] = []
-        for g in group_order.tolist():
-            g_lo = lo_list[g]
-            g_hi = hi_list[g]
-            code = kind_list[g_lo]
-            kind = PACKED_KINDS[code]
-            active = g_hi - g_lo
-            if code in _UNIFORM:
-                warp_ops.append(
-                    WarpOp(kind, (), active, a=max(cnt_list[g_lo:g_hi]))
-                )
-            elif code == PACKED_TDIST:
-                warp_ops.append(
-                    WarpOp(
-                        kind,
-                        tuple(addr_list[g_lo:g_hi]),
-                        active,
-                        a=k1_list[g_lo],
-                        meta=PACKED_METRICS[k2_list[g_lo]],
-                    )
-                )
-            elif code == PACKED_TBOX:
-                warp_ops.append(
-                    WarpOp(
-                        kind,
-                        tuple(addr_list[g_lo:g_hi]),
-                        active,
-                        a=k1_list[g_lo],
-                        b=k2_list[g_lo],
-                    )
-                )
-            elif code == PACKED_TTRI:
-                warp_ops.append(
-                    WarpOp(kind, tuple(addr_list[g_lo:g_hi]), active)
-                )
-            else:  # TKeyCmp and TLoad share the (addrs, a=k1) shape.
-                warp_ops.append(
-                    WarpOp(
-                        kind,
-                        tuple(addr_list[g_lo:g_hi]),
-                        active,
-                        a=k1_list[g_lo],
-                    )
-                )
-        warps.append(warp_ops)
-    return warps
+    span = slice(int(starts[0]), int(starts[-1]))
+    lengths = np.diff(starts)
+    warp = np.repeat(np.arange(num_threads, dtype=np.int32) // warp_size, lengths)
+    kind, k1, k2 = streams.kinds[span], streams.k1[span], streams.k2[span]
+    order, group_lo, group_hi, group_order = get_backend().warp_group_order(
+        warp, segmented_arange(lengths), kind, k1, k2
+    )
+    # One op per group, in emission order; ``head`` is its first member.
+    lo = group_lo[group_order]
+    active = group_hi[group_order] - lo
+    head = order[lo]
+    op_kind = kind[head]
+    uniform = np.isin(op_kind, (PACKED_TALU, PACKED_TSHARED, PACKED_TSFU))
+    a = np.where(op_kind == PACKED_TTRI, 0, k1[head])
+    if uniform.any():
+        # Lockstep: the warp spends max(count) instructions.
+        most = np.maximum.reduceat(streams.cnt[span][order], group_lo)
+        a[uniform] = most[group_order][uniform]
+    num_addrs = np.where(uniform, 0, active)
+    members = np.repeat(lo, num_addrs) + segmented_arange(num_addrs)
+    per_warp = np.bincount(warp[head], minlength=-(-num_threads // warp_size))
+    return WarpOps(
+        op_kind,
+        active,
+        a,
+        np.where(op_kind == PACKED_TBOX, k2[head], 0),
+        np.where(op_kind == PACKED_TDIST, k2[head], 0),
+        np.concatenate(([0], np.cumsum(num_addrs))),
+        streams.addr[span][order[members]],
+        np.concatenate(([0], np.cumsum(per_warp))),
+    )
 
 
 def _shape_key(op: ThreadOp) -> tuple:
@@ -196,47 +144,18 @@ def _shape_key(op: ThreadOp) -> tuple:
 
 
 def _to_warp_op(key: tuple, ops: list[ThreadOp]) -> WarpOp:
-    kind = key[0]
-    active = len(ops)
-    if kind == "TDist":
-        return WarpOp(
-            kind,
-            tuple(op.addr for op in ops),  # type: ignore[union-attr]
-            active,
-            a=key[1],
-            meta=key[2],
-        )
-    if kind == "TBox":
-        return WarpOp(
-            kind,
-            tuple(op.addr for op in ops),  # type: ignore[union-attr]
-            active,
-            a=key[1],
-            b=key[2],
-        )
-    if kind == "TTri":
-        return WarpOp(
-            kind, tuple(op.addr for op in ops), active  # type: ignore[union-attr]
-        )
-    if kind == "TKeyCmp":
-        return WarpOp(
-            kind,
-            tuple(op.addr for op in ops),  # type: ignore[union-attr]
-            active,
-            a=key[1],
-        )
+    kind, active = key[0], len(ops)
     if kind in ("TAlu", "TShared", "TSfu"):
         # Lockstep: the warp spends max(count) instructions.
         count = max(op.count for op in ops)  # type: ignore[union-attr]
         return WarpOp(kind, (), active, a=count)
-    if kind == "TLoad":
-        return WarpOp(
-            kind,
-            tuple(op.addr for op in ops),  # type: ignore[union-attr]
-            active,
-            a=key[1],
-        )
-    raise TraceError(f"unknown warp op kind {kind!r}")
+    addrs = tuple(op.addr for op in ops)  # type: ignore[union-attr]
+    if kind == "TDist":
+        return WarpOp(kind, addrs, active, a=key[1], meta=key[2])
+    if kind == "TBox":
+        return WarpOp(kind, addrs, active, a=key[1], b=key[2])
+    # TTri carries no payload; TKeyCmp and TLoad carry one count.
+    return WarpOp(kind, addrs, active, a=key[1] if len(key) > 1 else 0)
 
 
 def assemble_warps(

@@ -17,23 +17,24 @@ Two execution styles (§V-A):
 
 Each warp-op kind lowers to a fixed instruction pattern, like the fixed
 SASS sequences the paper's trace post-processor rewrites (§V), so a whole
-run lowers in one numpy pass: :class:`_OpTable` holds every op of every
-warp as columns, and :class:`_Rows` emits each pattern's instructions
-for all ops of its kind at once, straight into the columns of a
-:class:`~repro.gpusim.trace.KernelTrace` (validated once, there).
+run lowers in one numpy pass over its op table
+(:class:`~repro.compiler.ops.WarpOps`): :class:`_Rows` emits each
+pattern's instructions for all ops of its kind at once, straight into the
+columns of a :class:`~repro.gpusim.trace.KernelTrace` (validated once,
+there).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from repro.compiler.assembler import (
-    PACKED_KINDS,
+from repro.compiler.ops import (
+    METRIC_ANGULAR,
+    PACKED_METRICS,
     PACKED_TALU,
     PACKED_TBOX,
     PACKED_TDIST,
@@ -42,8 +43,8 @@ from repro.compiler.assembler import (
     PACKED_TSFU,
     PACKED_TSHARED,
     PACKED_TTRI,
+    WarpOps,
 )
-from repro.compiler.ops import METRIC_ANGULAR, METRIC_EUCLID, WarpOp
 from repro.core.isa import (
     EUCLID_WIDTH,
     KEY_COMPARE_WIDTH,
@@ -138,7 +139,7 @@ class CostModel:
 
 
 def lower_baseline(
-    warp_ops: Sequence[Sequence[WarpOp]],
+    table: WarpOps,
     style: str,
     cost: CostModel | None = None,
     name: str = "",
@@ -146,7 +147,6 @@ def lower_baseline(
 ) -> KernelTrace:
     """Expand every warp's op stream into the non-RT SIMD trace."""
     cost = cost if cost is not None else CostModel()
-    table = _OpTable(warp_ops)
     rows = _Rows(table)
     a, active = table.a, table.active
     dist = table.select(PACKED_TDIST)
@@ -192,7 +192,7 @@ def lower_baseline(
 
 
 def lower_hsu(
-    warp_ops: Sequence[Sequence[WarpOp]],
+    table: WarpOps,
     style: str,
     cost: CostModel | None = None,
     euclid_width: int = EUCLID_WIDTH,
@@ -213,13 +213,9 @@ def lower_hsu(
         (Opcode.POINT_EUCLID, euclid_width),
         (Opcode.POINT_ANGULAR, angular_width(euclid_width)),
     )
-    table = _OpTable(warp_ops)
     rows = _Rows(table)
     a, lanes = table.a, table.num_addrs
     dist = table.select(PACKED_TDIST)
-    unknown = dist[table.metric[dist] == len(_METRICS)]
-    if unknown.size:
-        raise TraceError(f"unknown metric {table.meta[unknown[0]]!r}")
     for metric, (opcode, width) in enumerate(dist_modes):
         ops = dist[table.metric[dist] == metric]
         dim = a[ops]
@@ -228,7 +224,7 @@ def lower_hsu(
             ops, 0, KIND_HSU, lanes[ops], addrs=_ALL,
             size=_ceil_div(dim * 4, beats), opcode=opcode, beats=beats,
         )
-        if _METRICS[metric] == METRIC_ANGULAR:
+        if metric == _ANGULAR:
             # Scalar rsqrt + divide stay on the SFU (§IV-E); with the
             # HSU every lane holds its own candidate, so the epilogue
             # runs thread-parallel.
@@ -272,17 +268,19 @@ def _coop_dist(rows: _Rows, ops: np.ndarray, cost: CostModel) -> None:
     # instructions the warp issues; completion waits for all lines (first
     # use), issue slots charged via repeat.
     rows.emit(
-        each, slot, KIND_LDG, 32, addrs=table.addr_starts[each] + candidate,
+        each, slot, KIND_LDG, 32, addrs=table.addr_offsets[each] + candidate,
         size=dim * 4, repeat=np.maximum(1, _ceil_div(dim * 4, 128)), able=1,
     )
     shape = dim * 2 + angular  # (dim, metric) of the cost model
     rows.emit(
         each, slot + 1, KIND_ALU, 32, able=1,
         repeat=_per_value(
-            lambda key: cost.coop_dist_alu(key >> 1, _METRICS[key & 1]), shape
+            lambda key: cost.coop_dist_alu(key >> 1, PACKED_METRICS[key & 1]),
+            shape,
         ),
         chain=_per_value(
-            lambda key: cost.coop_dist_chain(key >> 1, _METRICS[key & 1]), shape
+            lambda key: cost.coop_dist_chain(key >> 1, PACKED_METRICS[key & 1]),
+            shape,
         ),
     )
     rows.emit(
@@ -327,11 +325,8 @@ def _lower_common(rows: _Rows) -> None:
     )
 
 
-#: Metric codes of the op table; unknown metrics get ``len(_METRICS)``.
-_METRICS = (METRIC_EUCLID, METRIC_ANGULAR)
-_ANGULAR = _METRICS.index(METRIC_ANGULAR)
-_METRIC_CODES = {metric: code for code, metric in enumerate(_METRICS)}
-_OP_CODES = {kind: code for code, kind in enumerate(PACKED_KINDS)}
+#: The angular metric's code in the op table.
+_ANGULAR = PACKED_METRICS.index(METRIC_ANGULAR)
 #: ``addrs=`` marker of :meth:`_Rows.emit`: the op's own addresses.
 _ALL = "all"
 
@@ -348,49 +343,6 @@ def _per_value(fn: Callable[[int], int], values: np.ndarray) -> np.ndarray:
     return table[np.searchsorted(np.array(distinct, dtype=np.int64), values)]
 
 
-class _OpTable:
-    """Every warp op of a run as columns, warp after warp in stream order.
-
-    Per op: ``kind`` (a :data:`~repro.compiler.assembler.PACKED_KINDS`
-    code), ``active``, the ``a``/``b`` payload, ``metric`` (a
-    :data:`_METRICS` code) and its addresses, which are
-    ``addrs[addr_starts[i]:addr_starts[i] + num_addrs[i]]``;
-    ``warp_starts`` are the per-warp op offsets.
-    """
-
-    def __init__(self, warp_ops: Sequence[Sequence[WarpOp]]) -> None:
-        self.warp_starts = np.cumsum([0, *map(len, warp_ops)])
-        ops = [op for warp in warp_ops for op in warp]
-        count = len(ops)
-        kinds, addrs, active, a, b, meta = zip(*ops) if ops else ((),) * 6
-        try:
-            self.kind = np.fromiter(
-                map(_OP_CODES.__getitem__, kinds), np.int64, count
-            )
-        except KeyError as exc:
-            raise TraceError(f"unknown warp op kind {exc.args[0]!r}") from None
-        self.active = np.fromiter(active, np.int64, count)
-        self.a = np.fromiter(a, np.int64, count)
-        self.b = np.fromiter(b, np.int64, count)
-        self.meta = meta
-        self.metric = np.fromiter(
-            map(_METRIC_CODES.get, meta, itertools.repeat(len(_METRICS))),
-            np.int64,
-            count,
-        )
-        self.num_addrs = np.fromiter(map(len, addrs), np.int64, count)
-        self.addr_starts = np.cumsum(self.num_addrs) - self.num_addrs
-        self.addrs = np.fromiter(
-            itertools.chain.from_iterable(addrs),
-            np.int64,
-            int(self.num_addrs.sum()),
-        )
-
-    def select(self, code: int) -> np.ndarray:
-        """Indices of the ops of one kind, in stream order."""
-        return np.flatnonzero(self.kind == code)
-
-
 class _Rows:
     """The instruction rows of one trace, emitted pattern by pattern.
 
@@ -399,7 +351,7 @@ class _Rows:
     slot; the rows of different patterns never collide.
     """
 
-    def __init__(self, table: _OpTable) -> None:
+    def __init__(self, table: WarpOps) -> None:
         self.table = table
         self.parts: list[tuple[np.ndarray, object, dict[str, object]]] = []
 
@@ -431,7 +383,7 @@ class _Rows:
         if addrs is None:
             first, count = 0, 0
         elif addrs is _ALL:
-            first, count = self.table.addr_starts[ops], self.table.num_addrs[ops]
+            first, count = self.table.addr_offsets[ops], self.table.num_addrs[ops]
         else:
             first, count = addrs, 1
         self.parts.append((ops, slot, {
@@ -494,7 +446,7 @@ class _Rows:
             table.addrs[np.repeat(first, count) + segmented_arange(count)]
             + np.repeat(shift, count)
         )
-        warp_offsets = op_rows[table.warp_starts]
+        warp_offsets = op_rows[table.warp_offsets]
         if labels is None:
             labels = [""] * (warp_offsets.shape[0] - 1)
         return KernelTrace.from_columns(

@@ -47,7 +47,7 @@ from repro import api
 from repro.experiments import campaign
 from repro.experiments.common import config_for, default_config
 from repro.gpusim.stats import SimStats
-from repro.workloads import run_bvhnn, run_ggnn, to_traces
+from repro.workloads import run_bvhnn, run_ggnn, to_trace
 from repro.workloads.bvhnn import choose_radius
 
 #: Datasets used by the ablation studies (kept small; these sweep variants).
@@ -73,7 +73,7 @@ def bvh_variants(datasets: tuple[str, ...] = BVH_DATASETS) -> list[dict[str, obj
                 c if c.isalnum() else "-" for c in label
             ).strip("-")
             stats = campaign.cached_simulate(
-                "bvhnn", abbr, slug, config, to_traces(run).hsu
+                "bvhnn", abbr, slug, config, to_trace(run, "hsu")
             )
             rows.append(
                 {
@@ -97,7 +97,7 @@ def rt_fetch_paths() -> list[dict[str, object]]:
     )
     for family, abbr, maker, kwargs in cases:
         run = maker(abbr, **kwargs)
-        hsu_trace = to_traces(run).hsu
+        hsu_trace = to_trace(run, "hsu")
         base_config = config_for(family)
         for label, config in (
             ("shared L1 (paper)", base_config),

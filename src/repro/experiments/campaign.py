@@ -606,20 +606,19 @@ def _warm_workload_module(family: str) -> None:
 
 class TraceIngest:
     """One workload group in memory: the trace its jobs simulate, that
-    trace's fingerprint and pack, and (through the api memos) its run.
+    trace's fingerprint and pack, and (through the api memo) its run.
 
-    The jobs of a workload group simulate the two traces of one memoized
-    bundle (:func:`repro.api.trace_bundle` or
-    :func:`repro.api.sharded_trace_bundle`) under several configs, so
-    :func:`run_job` fingerprints each trace once and
-    :meth:`pack` lowers it once per pack key
+    The jobs of a workload group lower their traces from one memoized run
+    (:func:`repro.api.run_workload`) and simulate them under several
+    configs, so :func:`run_job` lowers and fingerprints each trace once
+    and :meth:`pack` packs it once per pack key
     (:data:`repro.gpusim.soa.PACK_FIELDS`) instead of once per job.  At
     most one trace is held, with at most one
     :class:`~repro.gpusim.soa.PackedKernel`; both are released before
-    the next trace is fetched.  Leaving the ``with`` block that
+    the next trace is lowered.  Leaving the ``with`` block that
     :func:`execute` opens per group (serial or in a pool worker) calls
     :meth:`release`; a :func:`run_job` without an ingest ingests afresh
-    and leaves the api memos to its caller.
+    and leaves the api memo to its caller.
     """
 
     def __init__(self) -> None:
@@ -635,9 +634,8 @@ class TraceIngest:
         self.release()
 
     def release(self) -> None:
-        """Drop the held trace and pack and empty the api memos that hold
-        the group's run and bundle
-        (:func:`repro.api.release_workloads`)."""
+        """Drop the held trace and pack and empty the api memo that holds
+        the group's run (:func:`repro.api.release_workloads`)."""
         from repro import api  # deferred: the facade wires onto us
 
         self._source = self._kernel = self._packed = None
@@ -663,22 +661,16 @@ class TraceIngest:
 
 
 def job_trace(job: Job) -> KernelTrace:
-    """The job's trace, from its memoized bundle
-    (:func:`repro.api.trace_bundle` or
-    :func:`repro.api.sharded_trace_bundle`)."""
+    """The job's trace: ``job.variant`` lowered at ``job.euclid_width``
+    from its group's memoized run (:func:`repro.api.run_workload`)."""
     from repro import api  # deferred: the facade wires onto us
+    from repro.workloads import base
 
-    if job.shards != 1 or job.scale != 1.0:
-        bundle = api.sharded_trace_bundle(
-            job.abbr, job.queries, job.euclid_width,
-            scale=job.scale, shards=job.shards, shard=job.shard,
-        )
-    else:
-        bundle = api.trace_bundle(
-            job.family, job.abbr, job.queries, job.euclid_width,
-            metric=job.metric,
-        )
-    return bundle.baseline if job.variant == "baseline" else bundle.hsu
+    run = api.run_workload(
+        job.family, job.abbr, job.queries, job.metric,
+        job.scale, job.shards, job.shard,
+    )
+    return base.to_trace(run, job.variant, euclid_width=job.euclid_width)
 
 
 def job_config(job: Job) -> GpuConfig:
@@ -700,8 +692,8 @@ def run_job(
     Fast path (warm): the trace-tier entry maps the job's workload
     parameters to a trace fingerprint without executing the workload; the
     stats tier then supplies the result.  Cold path: execute the workload
-    (the api memos share the run and its bundle across the group's jobs),
-    lower, fingerprint, simulate, and populate both tiers.  ``ingest``
+    (the api memo shares the run across the group's jobs), lower the
+    job's variant, fingerprint, simulate, and populate both tiers.  ``ingest``
     carries the trace, fingerprint and pack over from the previous job
     when this job simulates the same trace.
     """
@@ -1140,7 +1132,10 @@ def _execute_pool(
     run after them, one job at a time, so a job that kills its worker
     fails no other job.  A dead worker breaks the whole
     ``ProcessPoolExecutor``: every group in flight on it fails its attempt
-    with ``BrokenProcessPool``, and a fresh pool takes over.
+    with ``BrokenProcessPool``, and a fresh pool takes over.  A group past
+    its deadline takes the same path: a running future cannot be
+    cancelled, so the pool's workers are stopped, and the campaign never
+    waits on a timed-out worker.
     """
     args = (mode, str(cache_dir()), str(results_dir()), manifests_enabled())
     workers = min(jobs_n, len(groups))
@@ -1163,17 +1158,25 @@ def _execute_pool(
                 timeout=max(0.0, soonest - time.monotonic()),
                 return_when=FIRST_COMPLETED,
             )
-            if any(isinstance(f.exception(), BrokenProcessPool) for f in done):
-                # A dead worker fails every future of its pool at once.
+            now = time.monotonic()
+            expired = {
+                future for future, (_group, _attempt, due) in futures.items()
+                if due <= now and future not in done
+            }
+            if expired:
+                # A running future cannot be cancelled: stop the workers
+                # (no public way before Python 3.14), breaking the pool.
+                for process in list(pool._processes.values()):
+                    process.terminate()
+            if expired or any(
+                isinstance(f.exception(), BrokenProcessPool) for f in done
+            ):
+                # A dead or stopped worker fails every future of its pool.
                 done, _ = wait(futures)
                 pool.shutdown()
                 pool = ProcessPoolExecutor(max_workers=workers)
-            now = time.monotonic()
-            for future, (group, attempt, deadline) in list(futures.items()):
-                if future in done:
-                    records = _group_result(future, group)
-                elif deadline <= now:
-                    future.cancel()
+            for future, (group, attempt, _due) in list(futures.items()):
+                if future in expired:
                     records = [
                         JobRecord(
                             job, ok=False,
@@ -1182,6 +1185,8 @@ def _execute_pool(
                         )
                         for job in group
                     ]
+                elif future in done:
+                    records = _group_result(future, group)
                 else:
                     continue
                 del futures[future]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.analysis.tables import format_table
 from repro.experiments import campaign
 from repro.experiments.common import default_config
-from repro.workloads.base import to_traces
+from repro.workloads.base import to_trace
 from repro.workloads.rtindex import run_rtindex
 
 #: Paper's reported speedup of point keys over triangle keys.
@@ -26,10 +26,10 @@ def compute(num_keys: int = 8192, num_lookups: int = 2048) -> dict[str, object]:
     config = default_config()
     abbr = f"K{num_keys}"
     triangle_stats = campaign.cached_simulate(
-        "rtindex", abbr, "triangle-keys", config, to_traces(triangle_run).hsu
+        "rtindex", abbr, "triangle-keys", config, to_trace(triangle_run, "hsu")
     )
     point_stats = campaign.cached_simulate(
-        "rtindex", abbr, "point-keys", config, to_traces(point_run).hsu
+        "rtindex", abbr, "point-keys", config, to_trace(point_run, "hsu")
     )
     return {
         "triangle_cycles": triangle_stats.cycles,

@@ -78,8 +78,9 @@ def smoke() -> str:
     from repro.experiments.common import config_for
     from repro.gpusim.observability import manifests_enabled, results_dir
     from repro.gpusim.report import diff_manifests, load_manifest, render_report
+    from repro.workloads import to_traces
 
-    bundle = api.trace_bundle("bvhnn", "R10K", 64)
+    bundle = to_traces(api.run_workload("bvhnn", "R10K", 64))
     config = config_for("bvhnn")
     base = campaign.cached_simulate(
         "smoke", "R10K", "baseline", config, bundle.baseline

@@ -472,41 +472,39 @@ class ReferenceBackend:
 
     def warp_group_order(
         self,
+        warp: np.ndarray,
         pos: np.ndarray,
         kinds: np.ndarray,
         k1: np.ndarray,
         k2: np.ndarray,
-        lane: np.ndarray,
-        warp_size: int,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Sort one warp's packed ops into emission groups.
+        """Sort a run's packed ops into emission groups, every warp at once.
 
-        Ops sort by (position, shape key, lane); group boundaries fall
-        where any key component changes; groups order by (position, first
-        member lane) — reproducing the scalar bucketer's first-appearance
-        order with members in lane order.  Returns ``(order, group_lo,
-        group_hi, group_order)`` over the sorted view.
+        Rows arrive thread-major: each thread's ops in stream order, the
+        threads in lane order.  A stable sort by (position, shape key)
+        keeps equal ops in that order, so each warp's members of a group
+        are contiguous and in lane order; group boundaries fall where the
+        warp or any key component changes; groups order by (warp,
+        position, first member's row) — reproducing the scalar bucketer's
+        first-appearance order.  Returns ``(order, group_lo, group_hi,
+        group_order)`` over the sorted view.
         """
         count = pos.shape[0]
-        order = np.lexsort((lane, k2, k1, kinds, pos))
-        kind_s = kinds[order]
-        k1_s = k1[order]
-        k2_s = k2[order]
-        pos_s = pos[order]
-        new_group = np.empty(count, dtype=bool)
-        new_group[0] = True
-        new_group[1:] = (
-            (pos_s[1:] != pos_s[:-1])
-            | (kind_s[1:] != kind_s[:-1])
-            | (k1_s[1:] != k1_s[:-1])
-            | (k2_s[1:] != k2_s[:-1])
-        )
+        order = np.lexsort((k2, k1, kinds, pos))
+        new_group = np.zeros(count, dtype=bool)
+        new_group[:1] = True
+        # Compare one sorted key at a time: a whole run's grouping then
+        # holds one sorted copy of a key, not one per key.
+        for key in (warp, pos, kinds, k1, k2):
+            ordered = key[order]
+            new_group[1:] |= ordered[1:] != ordered[:-1]
+            del ordered
         group_lo = np.flatnonzero(new_group)
-        group_hi = np.append(group_lo[1:], count)
-        first_lane = lane[order][group_lo]
-        # (position, first lane) uniquely orders groups: a lane holds one
-        # op per position, so no two groups at a position share a lane.
-        group_order = np.argsort(pos_s[group_lo] * (warp_size + 1) + first_lane)
+        group_hi = np.append(group_lo, count)[1:]
+        # Rows are thread-major, so at one (warp, position) the first
+        # members' rows order the groups by first lane.
+        first = order[group_lo]
+        group_order = np.lexsort((first, pos[first], warp[first]))
         return order, group_lo, group_hi, group_order
 
     # -- warp-load coalescing (repro/gpusim/gpu.py) -----------------------

@@ -1,9 +1,9 @@
 """The evaluated workloads (§V-A) as op-stream generators.
 
 Each workload builds its search structure from scratch, executes the real
-search algorithm over a dataset, and emits warp-level op streams; the trace
-compiler lowers one run into the paired baseline/HSU kernel traces the
-simulator consumes.
+search algorithm over a dataset, and emits its warp ops as one table; the
+trace compiler lowers one run into the baseline or HSU kernel trace the
+simulator consumes (:func:`to_trace`), or both (:func:`to_traces`).
 
 * :mod:`~repro.workloads.ggnn` — hierarchical-graph ANN, block-per-query,
 * :mod:`~repro.workloads.flann` — k-d tree ANN, thread-per-query,
@@ -18,7 +18,7 @@ simulator consumes.
 * :mod:`~repro.workloads.raytrace` — plain ray casting on the baseline unit.
 """
 
-from repro.workloads.base import TraceBundle, WorkloadRun, to_traces
+from repro.workloads.base import TraceBundle, WorkloadRun, to_trace, to_traces
 
 #: Runner attribute -> defining module, resolved on first access (PEP 562).
 #: A campaign only pays the import cost of the workloads it actually runs.
@@ -38,6 +38,7 @@ __all__ = [
     "run_bvhnn",
     "run_flann",
     "run_ggnn",
+    "to_trace",
     "to_traces",
 ]
 

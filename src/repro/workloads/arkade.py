@@ -28,16 +28,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.compiler.assembler import (
+from repro.compiler.assembler import PackedStreams, assemble_warps_packed
+from repro.compiler.layout import AddressSpace
+from repro.compiler.lowering import STYLE_PARALLEL
+from repro.compiler.ops import (
     PACKED_TALU,
     PACKED_TDIST,
     PACKED_TLOAD,
     PACKED_TSHARED,
-    PackedStreams,
-    assemble_warps_packed,
 )
-from repro.compiler.layout import AddressSpace
-from repro.compiler.lowering import STYLE_PARALLEL
 from repro.datasets.registry import load_dataset, perturbed_queries
 from repro.errors import TraceError
 from repro.metrics import MetricSearchMetrics

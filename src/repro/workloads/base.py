@@ -1,4 +1,4 @@
-"""Common workload plumbing: runs, trace bundles, lowering glue."""
+"""Common workload plumbing: runs, their lowering into traces."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.compiler.lowering import CostModel, lower_baseline, lower_hsu
-from repro.compiler.ops import WarpOp
+from repro.compiler.ops import WarpOps
 from repro.core.isa import EUCLID_WIDTH
 from repro.errors import TraceError
 from repro.gpusim.trace import KernelTrace
@@ -14,7 +14,7 @@ from repro.gpusim.trace import KernelTrace
 
 @dataclass
 class WorkloadRun:
-    """One executed workload: warp-level op streams plus metadata.
+    """One executed workload: its warp-op table plus metadata.
 
     ``style`` selects the lowering convention (``cooperative`` for
     block-per-query kernels, ``parallel`` for thread-per-query kernels).
@@ -24,11 +24,11 @@ class WorkloadRun:
 
     name: str
     style: str
-    warp_ops: list[list[WarpOp]]
+    warp_ops: WarpOps
     extras: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not self.warp_ops:
+        if not self.warp_ops.num_warps:
             raise TraceError(f"workload {self.name!r} produced no warps")
 
 
@@ -40,23 +40,38 @@ class TraceBundle:
     hsu: KernelTrace
 
 
+def to_trace(
+    run: WorkloadRun,
+    variant: str,
+    cost: CostModel | None = None,
+    euclid_width: int = EUCLID_WIDTH,
+) -> KernelTrace:
+    """Lower a workload run into its ``"baseline"`` or ``"hsu"`` trace.
+
+    ``euclid_width`` is the HSU datapath width :func:`lower_hsu` targets;
+    the baseline does not read it.
+    """
+    labels = [f"{run.name}/w{index}" for index in range(run.warp_ops.num_warps)]
+    name = f"{run.name}-{variant}"
+    if variant == "baseline":
+        return lower_baseline(
+            run.warp_ops, run.style, cost=cost, name=name, labels=labels
+        )
+    if variant == "hsu":
+        return lower_hsu(
+            run.warp_ops, run.style, cost=cost, euclid_width=euclid_width,
+            name=name, labels=labels,
+        )
+    raise TraceError(f"unknown trace variant {variant!r}")
+
+
 def to_traces(
     run: WorkloadRun,
     cost: CostModel | None = None,
     euclid_width: int = EUCLID_WIDTH,
 ) -> TraceBundle:
-    """Lower a workload run into its baseline and HSU kernel traces.
-
-    ``euclid_width`` is the HSU datapath width :func:`lower_hsu` targets.
-    """
-    labels = [f"{run.name}/w{index}" for index in range(len(run.warp_ops))]
+    """Lower a workload run into both of its traces (:func:`to_trace`)."""
     return TraceBundle(
-        baseline=lower_baseline(
-            run.warp_ops, run.style, cost=cost,
-            name=f"{run.name}-baseline", labels=labels,
-        ),
-        hsu=lower_hsu(
-            run.warp_ops, run.style, cost=cost, euclid_width=euclid_width,
-            name=f"{run.name}-hsu", labels=labels,
-        ),
+        baseline=to_trace(run, "baseline", cost),
+        hsu=to_trace(run, "hsu", cost, euclid_width),
     )

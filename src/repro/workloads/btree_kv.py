@@ -22,7 +22,7 @@ from repro.btree.btree import (
 )
 from repro.compiler.layout import AddressSpace
 from repro.compiler.lowering import STYLE_COOPERATIVE
-from repro.compiler.ops import WarpOp
+from repro.compiler.ops import WarpOp, WarpOps
 from repro.datasets.registry import load_dataset
 
 #: Bytes per internal node (255 separators + 256 child pointers).
@@ -117,6 +117,6 @@ def run_btree(
     return WorkloadRun(
         name=f"btree-{abbr}",
         style=STYLE_COOPERATIVE,
-        warp_ops=warp_ops,
+        warp_ops=WarpOps.from_records(warp_ops),
         extras=extras,
     )

@@ -14,16 +14,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.compiler.assembler import (
+from repro.compiler.assembler import PackedStreams, assemble_warps_packed
+from repro.compiler.layout import AddressSpace
+from repro.compiler.lowering import STYLE_PARALLEL
+from repro.compiler.ops import (
     PACKED_TALU,
     PACKED_TBOX,
     PACKED_TDIST,
     PACKED_TSHARED,
-    PackedStreams,
-    assemble_warps_packed,
 )
-from repro.compiler.layout import AddressSpace
-from repro.compiler.lowering import STYLE_PARALLEL
 from repro.datasets.registry import load_dataset
 from repro.search import BvhRadiusIndex
 

@@ -15,16 +15,15 @@ import numpy as np
 
 from repro.ann.ground_truth import brute_force_knn
 from repro.ann.recall import recall_at_k
-from repro.compiler.assembler import (
+from repro.compiler.assembler import PackedStreams, assemble_warps_packed
+from repro.compiler.layout import AddressSpace
+from repro.compiler.lowering import STYLE_PARALLEL
+from repro.compiler.ops import (
     PACKED_TALU,
     PACKED_TDIST,
     PACKED_TLOAD,
     PACKED_TSHARED,
-    PackedStreams,
-    assemble_warps_packed,
 )
-from repro.compiler.layout import AddressSpace
-from repro.compiler.lowering import STYLE_PARALLEL
 from repro.datasets.registry import load_dataset, perturbed_queries
 from repro.search import KdTreeIndex, QuerySpec
 

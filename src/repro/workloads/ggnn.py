@@ -18,7 +18,7 @@ from repro.ann.ground_truth import brute_force_knn
 from repro.ann.recall import recall_at_k
 from repro.compiler.layout import AddressSpace
 from repro.compiler.lowering import STYLE_COOPERATIVE
-from repro.compiler.ops import WarpOp
+from repro.compiler.ops import WarpOp, WarpOps
 from repro.datasets.registry import Dataset, load_dataset, perturbed_queries
 from repro.graph.hnsw import METRIC_ANGULAR, METRIC_EUCLID
 from repro.search import HnswIndex, QuerySpec
@@ -84,12 +84,12 @@ def run_ggnn(
     result = index.query_batch(
         queries, spec=QuerySpec(k=k, ef=ef), record_events=True
     )
-    warp_ops: list[list[WarpOp]] = [
+    warp_ops = WarpOps.from_records([
         _events_to_warp_ops(
             result.events.query_events(qi), points, adjacency, dim, metric, m
         )
         for qi in range(len(result))
-    ]
+    ])
 
     extras = {
         "dataset": abbr,

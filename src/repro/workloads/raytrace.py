@@ -26,7 +26,7 @@ from repro.bvh.traversal import (
 from repro.compiler.assembler import assemble_warps
 from repro.compiler.layout import AddressSpace
 from repro.compiler.lowering import STYLE_PARALLEL
-from repro.compiler.ops import TBox, TShared, TTri
+from repro.compiler.ops import TBox, TShared, TTri, WarpOps
 from repro.geometry.ray import Ray
 from repro.geometry.triangle import Triangle
 from repro.geometry.vec3 import Vec3
@@ -140,6 +140,6 @@ def run_raytrace(width: int = 32, height: int = 24):
     return WorkloadRun(
         name="raytrace",
         style=STYLE_PARALLEL,
-        warp_ops=assemble_warps(streams),
+        warp_ops=WarpOps.from_records(assemble_warps(streams)),
         extras={"coverage": coverage, "pixels": image.size},
     )

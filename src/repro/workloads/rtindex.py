@@ -24,17 +24,16 @@ from repro.bvh.traversal import (
     EVENT_STACK_OP,
     point_query_batch,
 )
-from repro.compiler.assembler import (
+from repro.compiler.assembler import PackedStreams, assemble_warps_packed
+from repro.compiler.layout import AddressSpace
+from repro.compiler.lowering import STYLE_PARALLEL
+from repro.compiler.ops import (
     PACKED_TALU,
     PACKED_TBOX,
     PACKED_TDIST,
     PACKED_TSHARED,
     PACKED_TTRI,
-    PackedStreams,
-    assemble_warps_packed,
 )
-from repro.compiler.layout import AddressSpace
-from repro.compiler.lowering import STYLE_PARALLEL
 from repro.geometry.aabb import Aabb
 
 #: Bytes per stored child record in a box node.

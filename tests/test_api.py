@@ -10,11 +10,11 @@ override to the call.
 import pytest
 
 from repro import api
-from repro.compiler.ops import WarpOp
+from repro.compiler.ops import WarpOp, WarpOps
 from repro.errors import ConfigError
 from repro.experiments import campaign, common
 from repro.gpusim import KernelTrace, WarpInstr, WarpTrace
-from repro.workloads import TraceBundle, WorkloadRun
+from repro.workloads import TraceBundle, WorkloadRun, to_trace
 
 FAMILY, ABBR, QUERIES = "btree", "B+10K", 32
 
@@ -68,7 +68,10 @@ class TestWorkloadSpecs:
 
     def test_only_a_family_abbr_tuple_is_accepted(self, no_workload):
         """Every other input shape and keyword fails before a workload runs."""
-        run = WorkloadRun("probe", "parallel", [[WarpOp("TAlu", (), 32, a=1)]])
+        run = WorkloadRun(
+            "probe", "parallel",
+            WarpOps.from_records([[WarpOp("TAlu", (), 32, a=1)]]),
+        )
         kernel = _probe_kernel()
         for workload in (
             kernel, TraceBundle(kernel, kernel), run, f"{FAMILY}/{ABBR}",
@@ -89,10 +92,9 @@ class TestInputShapeEquivalence:
     def test_named_path_matches_recorded_path(self):
         named = api.simulate((FAMILY, ABBR), variant="baseline",
                              queries=QUERIES)
-        bundle = api.trace_bundle(FAMILY, ABBR, QUERIES)
+        trace = to_trace(api.run_workload(FAMILY, ABBR, QUERIES), "baseline")
         recorded = campaign.cached_simulate(
-            FAMILY, ABBR, "baseline", common.config_for(FAMILY),
-            bundle.baseline,
+            FAMILY, ABBR, "baseline", common.config_for(FAMILY), trace
         )
         assert named == recorded
 

@@ -11,6 +11,7 @@ default-Euclidean run-ids byte-identical, and the serving layer's
 
 import pytest
 
+from repro.compiler.ops import PACKED_METRICS, PACKED_TDIST
 from repro.errors import ConfigError
 from repro.metrics.transforms import ARKADE_METRICS, QUERY_METRICS
 from repro.workloads import run_arkade, to_traces
@@ -34,7 +35,7 @@ class TestRunArkade:
         assert run.extras["metric"] == metric
         assert run.extras["num_queries"] == QUERIES
         assert run.name == f"arkade-{metric}-R10K"
-        assert len(run.warp_ops) == 1  # 32 queries == one warp
+        assert run.warp_ops.num_warps == 1  # 32 queries == one warp
 
     def test_every_query_verified_against_brute_force(self, run):
         """run_arkade raises TraceError on any mismatch, so a returned
@@ -73,12 +74,10 @@ class TestLoweringMetricCodes:
     filter metrics keep the Euclidean beat kernel (docs/WORKLOADS.md)."""
 
     def _tdist_metas(self, metric) -> set[str]:
-        run = run_arkade("R10K", num_queries=QUERIES, metric=metric)
+        ops = run_arkade("R10K", num_queries=QUERIES, metric=metric).warp_ops
         return {
-            op.meta
-            for ops in run.warp_ops
-            for op in ops
-            if op.kind == "TDist"
+            PACKED_METRICS[code]
+            for code in ops.metric[ops.select(PACKED_TDIST)].tolist()
         }
 
     def test_cosine_lowers_as_point_angular(self):

@@ -10,6 +10,7 @@ each test builds itself; these tests are the contract.
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
@@ -19,6 +20,14 @@ from repro.bvh.lbvh import build_lbvh_for_points
 from repro.bvh.sah import build_sah
 from repro.bvh.traversal import TraversalStats, radius_search
 from repro.compiler.assembler import (
+    WARP_SIZE,
+    PackedStreams,
+    assemble_warps,
+    assemble_warps_packed,
+)
+from repro.compiler.ops import (
+    METRIC_ANGULAR,
+    METRIC_EUCLID,
     PACKED_TALU,
     PACKED_TBOX,
     PACKED_TDIST,
@@ -27,13 +36,6 @@ from repro.compiler.assembler import (
     PACKED_TSFU,
     PACKED_TSHARED,
     PACKED_TTRI,
-    PackedStreams,
-    assemble_warps,
-    assemble_warps_packed,
-)
-from repro.compiler.ops import (
-    METRIC_ANGULAR,
-    METRIC_EUCLID,
     TAlu,
     TBox,
     TDist,
@@ -42,6 +44,7 @@ from repro.compiler.ops import (
     TSfu,
     TShared,
     TTri,
+    WarpOps,
 )
 from repro.geometry.aabb import Aabb
 from repro.graph.hnsw import build_hnsw
@@ -268,7 +271,7 @@ class TestHnswBatch:
 
 
 def _random_streams(rng, num_threads):
-    """Equivalent (scalar thread streams, PackedStreams) pair."""
+    """Random scalar thread streams of every op kind, 0-11 ops each."""
     makers = [
         lambda: (TDist(int(rng.integers(0, 2**20)), int(rng.integers(1, 64)),
                        [METRIC_EUCLID, METRIC_ANGULAR][rng.integers(0, 2)]),
@@ -284,12 +287,16 @@ def _random_streams(rng, num_threads):
         lambda: (TLoad(int(rng.integers(0, 2**20)),
                        int(rng.integers(4, 128))), None),
     ]
-    streams = [
+    return [
         [makers[rng.integers(0, len(makers))]()[0]
          for _ in range(rng.integers(0, 12))]
         for _ in range(num_threads)
     ]
-    starts = np.zeros(num_threads + 1, dtype=np.int64)
+
+
+def _packed(streams):
+    """The PackedStreams holding scalar thread ``streams``."""
+    starts = np.zeros(len(streams) + 1, dtype=np.int64)
     np.cumsum([len(s) for s in streams], out=starts[1:])
     total = int(starts[-1])
     kinds = np.zeros(total, dtype=np.int64)
@@ -327,25 +334,51 @@ def _random_streams(rng, num_threads):
                 k1[pos] = op.num_bytes
                 addr[pos] = op.addr
             pos += 1
-    return streams, PackedStreams(starts, kinds, k1, k2, addr, cnt)
+    return PackedStreams(starts, kinds, k1, k2, addr, cnt)
 
 
 class TestPackedAssembler:
+    """The whole-run packed assembler emits, column for column, the table
+    ``WarpOps.from_records`` builds from the scalar assembler's records."""
+
+    @staticmethod
+    def check(streams, warp_size=WARP_SIZE):
+        packed = assemble_warps_packed(_packed(streams), warp_size=warp_size)
+        scalar = WarpOps.from_records(assemble_warps(streams, warp_size))
+        for column in dataclasses.fields(WarpOps):
+            assert getattr(packed, column.name).tolist() == \
+                getattr(scalar, column.name).tolist(), (column.name, warp_size)
+
     def test_random_equivalence(self):
         rng = np.random.default_rng(20)
-        for trial in range(25):
-            num_threads = int(rng.integers(1, 70))
-            streams, packed = _random_streams(rng, num_threads)
-            if not any(len(s) for s in streams):
-                continue
-            assert assemble_warps_packed(packed) == \
-                assemble_warps(streams), f"trial {trial}"
+        for _trial in range(25):
+            self.check(_random_streams(rng, int(rng.integers(1, 70))))
 
     def test_narrow_warp(self):
+        """Warp sizes 1 and 8, over thread counts that leave a partial
+        last warp, and over one-op warps that only the warp index keeps
+        apart."""
         rng = np.random.default_rng(21)
-        streams, packed = _random_streams(rng, 20)
-        assert assemble_warps_packed(packed, warp_size=8) == \
-            assemble_warps(streams, warp_size=8)
+        for warp_size in (1, 8):
+            for num_threads in (20, 8 * 3 + 1, 37):
+                self.check(_random_streams(rng, num_threads), warp_size)
+            self.check([[TAlu(1)] for _ in range(2 * warp_size + 1)], warp_size)
+
+    def test_warps_of_empty_streams(self):
+        """A warp whose threads all have empty streams holds no ops, and
+        the warps after it keep their own."""
+        rng = np.random.default_rng(22)
+        for warp_size in (1, 8, 32):
+            streams = _random_streams(rng, 3 * warp_size + 5)
+            streams[warp_size : 2 * warp_size] = [[]] * warp_size
+            streams[-1] = []
+            self.check(streams, warp_size)
+            self.check([[] for _ in range(2 * warp_size + 3)], warp_size)
+
+    def test_one_thread(self):
+        self.check([[TAlu(3), TDist(640, 3, METRIC_EUCLID), TShared(2),
+                     TBox(64, 2, 64), TLoad(128, 16)]])
+        self.check(_random_streams(np.random.default_rng(23), 1), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +394,9 @@ class TestLoweredTraces:
         from pathlib import Path
 
         from repro import api
+        from repro.workloads import to_traces
 
-        # Regenerate rather than reuse a memoized bundle, so the pin
+        # Regenerate rather than reuse a memoized run, so the pin
         # covers a fresh run of the batched pipeline.
         api.clear_caches()
         golden = json.loads(
@@ -370,7 +404,7 @@ class TestLoweredTraces:
             .read_text()
         )
         for family, abbr in [("bvhnn", "R10K"), ("flann", "R10K")]:
-            bundle = api.trace_bundle(family, abbr, 64)
+            bundle = to_traces(api.run_workload(family, abbr, 64))
             for variant, kernel in (("baseline", bundle.baseline),
                                     ("hsu", bundle.hsu)):
                 key = f"{family}-{abbr}-{variant}"

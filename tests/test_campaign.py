@@ -10,6 +10,7 @@ workload group leaves nothing of its run, traces or pack alive.
 
 import json
 import os
+import time
 import weakref
 from collections import Counter
 from pathlib import Path
@@ -31,7 +32,7 @@ from repro.gpusim import (
 from repro.gpusim.observability import config_hash
 from repro.gpusim.soa import PackedKernel
 from repro.gpusim.stats import SimStats
-from repro.workloads.base import TraceBundle
+from repro.workloads import base
 
 #: Tiny jobs: one btree group and one bvhnn group, milliseconds each.
 BTREE_BASE = campaign.Job("btree", "B+10K", "baseline", queries=32)
@@ -241,7 +242,7 @@ class TestIngest:
         traces = set((campaign.cache_dir() / "traces").glob("*.json"))
         assert {p for p in renames if p.parent.name == "traces"} == traces
         assert all(renames[p] == 1 for p in traces)
-        bundle = api.trace_bundle("bvhnn", "R10K", 32)
+        bundle = base.to_traces(api.run_workload("bvhnn", "R10K", 32))
         for job in BVHNN_GROUP:
             kernel = bundle.baseline if job.variant == "baseline" else bundle.hsu
             fresh = GpuSimulator(_job_config(job), kernel).run()
@@ -352,6 +353,31 @@ class TestExecute:
             if job != doomed:
                 assert summary.stats_for(job) == run_job(job).stats
 
+    def test_timeout_stops_the_worker_it_passes(self, monkeypatch):
+        """A group past its deadline has its worker stopped, not awaited:
+        the campaign ends within its deadlines (4 s for the B+10K group,
+        then 2 s for each of its retried jobs), not after the stuck
+        workload's sleeps."""
+        from repro.workloads import btree_kv
+
+        def stuck(*args, **kwargs):
+            time.sleep(30.0)
+
+        monkeypatch.setattr(btree_kv, "run_btree", stuck)
+        jobs = campaign.smoke_jobs()
+        start = time.monotonic()
+        summary = campaign.execute(
+            jobs, jobs_n=2, per_job_timeout=2.0, label="timeout"
+        )
+        wall = time.monotonic() - start
+        assert [r.job for r in summary.failed] == [
+            job for job in jobs if job.family == "btree"
+        ]
+        for record in summary.failed:
+            assert record.attempts == 2 and "timeout" in record.error
+        assert summary.misses == 2  # the bvhnn group still ran
+        assert wall < 20.0
+
     def test_a_duplicated_job_runs_and_counts_once(self):
         cold = campaign.execute([BTREE_BASE, BTREE_BASE], jobs_n=1, label="dup")
         assert (len(cold.records), cold.misses) == (1, 1)
@@ -437,7 +463,7 @@ class TestGroupRelease:
         watched: list[tuple[tuple, weakref.ref]] = []
         leaks: list[tuple] = []
         current = [None]
-        run_job, to_traces = campaign.run_job, api.to_traces
+        run_job, to_trace = campaign.run_job, base.to_trace
 
         def starting(job, *args, **kwargs):
             leaks.extend(
@@ -448,14 +474,12 @@ class TestGroupRelease:
             return run_job(job, *args, **kwargs)
 
         def lowering(run, *args, **kwargs):
-            lowered = to_traces(run, *args, **kwargs)
-            bundle = TraceBundle(
-                *(_WatchedTrace(trace.warps, trace.name)
-                  for trace in (lowered.baseline, lowered.hsu))
-            )
-            for obj in (run, bundle.baseline, bundle.hsu):
-                watched.append((current[0], weakref.ref(obj)))
-            return bundle
+            lowered = to_trace(run, *args, **kwargs)
+            trace = _WatchedTrace(lowered.warps, lowered.name)
+            if not any(ref() is run for _group, ref in watched):
+                watched.append((current[0], weakref.ref(run)))
+            watched.append((current[0], weakref.ref(trace)))
+            return trace
 
         def packing(kernel, config):
             packed = _WatchedPack(kernel, config)
@@ -463,7 +487,7 @@ class TestGroupRelease:
             return packed
 
         monkeypatch.setattr(campaign, "run_job", starting)
-        monkeypatch.setattr(api, "to_traces", lowering)
+        monkeypatch.setattr(base, "to_trace", lowering)
         monkeypatch.setattr(engine, "pack_kernel", packing)
         return watched, leaks
 
@@ -501,6 +525,64 @@ class TestGroupRelease:
         summary = campaign.execute([BTREE_BASE], jobs_n=1, label="traced")
         assert summary.ok
         assert memo.cache_info().currsize == 0
+
+
+class TestLowerOnlyWhatAJobReads:
+    """Each job lowers only the variant it simulates, and a workload group
+    executes its workload once."""
+
+    @staticmethod
+    def run_counted(monkeypatch, jobs) -> dict[str, int]:
+        """Execute ``jobs`` on an empty cache; return the trace lowerings
+        per variant and the workload executions that made."""
+        from repro.workloads import btree_kv, bvhnn
+
+        counts = {
+            name: _count_calls(monkeypatch, owner, name)
+            for owner, name in (
+                (base, "lower_baseline"), (base, "lower_hsu"),
+                (btree_kv, "run_btree"), (bvhnn, "run_bvhnn"),
+                (bvhnn, "run_bvhnn_sharded"),
+            )
+        }
+        summary = campaign.execute(jobs, jobs_n=1, label="counted")
+        assert summary.ok and summary.misses == len(jobs)
+        return {name: count["calls"] for name, count in counts.items()}
+
+    def test_width_jobs_lower_one_hsu_trace_each(self, monkeypatch):
+        jobs = [
+            campaign.Job("bvhnn", "R10K", "hsu", queries=32, euclid_width=w)
+            for w in (8, 16, 32)
+        ]
+        assert self.run_counted(monkeypatch, jobs) == {
+            "lower_baseline": 0, "lower_hsu": 3,
+            "run_btree": 0, "run_bvhnn": 1, "run_bvhnn_sharded": 0,
+        }
+
+    def test_smoke_ablations_lower_no_baseline(self, monkeypatch):
+        jobs = campaign.ablation_jobs(smoke=True)
+        assert self.run_counted(monkeypatch, jobs) == {
+            "lower_baseline": 0, "lower_hsu": 1,
+            "run_btree": 0, "run_bvhnn": 1, "run_bvhnn_sharded": 0,
+        }
+
+    @pytest.mark.parametrize("axes, runner", [
+        ({"family": "btree", "abbr": "B+10K"}, "run_btree"),
+        ({"family": "bvhnn", "abbr": "R10K", "shards": 2, "shard": 1},
+         "run_bvhnn_sharded"),
+    ])
+    def test_paired_group_lowers_each_variant_once(
+        self, monkeypatch, axes, runner
+    ):
+        jobs = [
+            campaign.Job(variant=variant, queries=32, **axes)
+            for variant in ("baseline", "hsu")
+        ]
+        expected = {
+            "lower_baseline": 1, "lower_hsu": 1,
+            "run_btree": 0, "run_bvhnn": 0, "run_bvhnn_sharded": 0,
+        }
+        assert self.run_counted(monkeypatch, jobs) == expected | {runner: 1}
 
 
 class TestWorkloadMemo:

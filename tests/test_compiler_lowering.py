@@ -12,7 +12,7 @@ from repro.compiler.lowering import (
     lower_baseline,
     lower_hsu,
 )
-from repro.compiler.ops import METRIC_ANGULAR, METRIC_EUCLID, WarpOp
+from repro.compiler.ops import METRIC_ANGULAR, METRIC_EUCLID, WarpOp, WarpOps
 from repro.core.isa import Opcode
 from repro.errors import TraceError
 from repro.gpusim.trace import KIND_ALU, KIND_HSU, KIND_LDG, KIND_LDS, KIND_SFU
@@ -20,12 +20,12 @@ from repro.gpusim.trace import KIND_ALU, KIND_HSU, KIND_LDG, KIND_LDS, KIND_SFU
 
 def hsu_warp(ops, style, **kwargs):
     """The HSU lowering of one warp's op stream (a one-warp trace's warp)."""
-    return lower_hsu([ops], style, **kwargs).warps[0]
+    return lower_hsu(WarpOps.from_records([ops]), style, **kwargs).warps[0]
 
 
 def baseline_warp(ops, style, **kwargs):
     """The baseline lowering of one warp's op stream."""
-    return lower_baseline([ops], style, **kwargs).warps[0]
+    return lower_baseline(WarpOps.from_records([ops]), style, **kwargs).warps[0]
 
 
 def dist_op(n=4, dim=96, metric=METRIC_EUCLID):

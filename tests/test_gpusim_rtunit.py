@@ -3,7 +3,7 @@
 import pytest
 
 from repro.compiler.lowering import STYLE_PARALLEL, lower_hsu
-from repro.compiler.ops import METRIC_ANGULAR, METRIC_EUCLID, WarpOp
+from repro.compiler.ops import METRIC_ANGULAR, METRIC_EUCLID, WarpOp, WarpOps
 from repro.core.isa import KEY_COMPARE_WIDTH, Opcode, angular_width
 from repro.core.modes import PIPELINE_DEPTH
 from repro.core.multibeat import beat_count
@@ -101,7 +101,10 @@ class TestLatencyPerOpcode:
     def test_result_ready_is_fetch_plus_beats_plus_depth(
         self, op, euclid_width, opcode, width, beats
     ):
-        trace = lower_hsu([[op]], STYLE_PARALLEL, euclid_width=euclid_width)
+        trace = lower_hsu(
+            WarpOps.from_records([[op]]), STYLE_PARALLEL,
+            euclid_width=euclid_width,
+        )
         (instr,) = [i for i in trace.warps[0].instructions if i.kind == KIND_HSU]
         assert instr.opcode is opcode
         if width is not None:

@@ -45,7 +45,7 @@ KERNEL_NAMES = (
 )
 
 #: Names of deleted backend/engine selection knobs, kernels, query
-#: surfaces and benchmark scripts.  The docs under :data:`SCANNED_DOCS`
+#: surfaces, trace memos and benchmark scripts.  The docs under :data:`SCANNED_DOCS`
 #: must not mention them; ``CHANGES.md`` and ``ROADMAP.md`` record history
 #: and are not scanned.
 DELETED_SYMBOLS = (
@@ -69,6 +69,9 @@ DELETED_SYMBOLS = (
     "BENCH_scaling.json",
     "BENCH_simcore.json",
     "_gate.py",
+    "trace_bundle",
+    "_WORKLOAD_MEMOS",
+    "_OpTable",
 )
 
 SCANNED_DOCS = (

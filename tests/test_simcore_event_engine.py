@@ -254,8 +254,9 @@ class TestEngineMatchesReference:
     def test_reproduces_committed_golden(self):
         """Golden pin: the engine must land on the committed
         ``gpusim_smoke.json`` stats bit-exactly."""
-        from repro.api import trace_bundle
+        from repro.api import run_workload
         from repro.experiments.common import config_for
+        from repro.workloads import to_trace
 
         golden_path = (
             Path(__file__).resolve().parent / "goldens" / "gpusim_smoke.json"
@@ -264,8 +265,7 @@ class TestEngineMatchesReference:
         key = "btree-B+10K-baseline"
         family, abbr, variant = key.split("-")
         entry = golden[key]
-        bundle = trace_bundle(family, abbr, 64)
-        trace = bundle.baseline if variant == "baseline" else bundle.hsu
+        trace = to_trace(run_workload(family, abbr, 64), variant)
         config = config_for(family)
         assert trace.fingerprint() == entry["trace_sha"], key
         assert config.stable_hash() == entry["config_sha"], key

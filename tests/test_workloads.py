@@ -30,7 +30,7 @@ class TestGgnn:
         assert run.style == "cooperative"
         assert run.extras["dim"] == 65
         assert run.extras["metric"] == "angular"
-        assert len(run.warp_ops) == 8  # one warp (block) per query
+        assert run.warp_ops.num_warps == 8  # one warp (block) per query
 
     def test_search_quality(self, run):
         assert run.extras["recall"] >= 0.6
@@ -56,7 +56,7 @@ class TestFlann:
 
     def test_metadata(self, run):
         assert run.style == "parallel"
-        assert len(run.warp_ops) == 2  # 64 queries / 32 lanes
+        assert run.warp_ops.num_warps == 2  # 64 queries / 32 lanes
 
     def test_search_quality(self, run):
         assert run.extras["recall"] >= 0.8
@@ -125,7 +125,7 @@ class TestBtree:
         assert opcodes, "no KEY_COMPARE instructions generated"
 
     def test_one_warp_per_query(self, run):
-        assert len(run.warp_ops) == 64
+        assert run.warp_ops.num_warps == 64
 
 
 class TestPairedSpeedup:

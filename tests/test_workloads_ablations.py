@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compiler.ops import PACKED_TBOX
 from repro.errors import BuildError
 from repro.workloads.bvhnn import run_bvhnn
 
@@ -24,10 +25,8 @@ class TestVariants:
         bvh4 = run_bvhnn("R10K", num_queries=128, arity=4)
         def box_visits(run):
             # Thread-level node visits (warp-op counts depend on zipping).
-            return sum(
-                op.active for warp in run.warp_ops for op in warp
-                if op.kind == "TBox"
-            )
+            ops = run.warp_ops
+            return int(ops.active[ops.select(PACKED_TBOX)].sum())
         assert box_visits(bvh4) < box_visits(bvh2)
         assert bvh4.extras["mean_hits"] == pytest.approx(
             bvh2.extras["mean_hits"]
@@ -35,9 +34,8 @@ class TestVariants:
 
     def test_bvh4_nodes_carry_up_to_four_children(self):
         bvh4 = run_bvhnn("R10K", num_queries=64, arity=4)
-        max_children = max(
-            op.a for warp in bvh4.warp_ops for op in warp if op.kind == "TBox"
-        )
+        ops = bvh4.warp_ops
+        max_children = int(ops.a[ops.select(PACKED_TBOX)].max())
         assert 2 < max_children <= 4
 
     def test_sorted_queries_share_lines(self):
@@ -47,11 +45,12 @@ class TestVariants:
         sorted_run = run_bvhnn("BUN", num_queries=256, sort_queries=True)
 
         def mean_addr_spread(run):
+            ops = run.warp_ops
             spreads = []
-            for warp in run.warp_ops:
-                for op in warp:
-                    if op.kind == "TBox" and len(op.addrs) > 1:
-                        spreads.append(np.std(op.addrs))
+            for op in ops.select(PACKED_TBOX).tolist():
+                addrs = ops.addrs[ops.addr_offsets[op]:ops.addr_offsets[op + 1]]
+                if len(addrs) > 1:
+                    spreads.append(np.std(addrs))
             return float(np.mean(spreads))
 
         assert mean_addr_spread(sorted_run) < mean_addr_spread(unsorted)
