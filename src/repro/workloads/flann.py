@@ -63,6 +63,36 @@ def run_flann(
     queries = perturbed_queries(dataset, num_queries, seed=seed)
     dim = dataset.dim
 
+    streams, neighbors = _traced_search(
+        index, queries, QuerySpec(k=k, max_checks=max_checks), dim
+    )
+
+    extras = {"dataset": abbr, "dim": dim, "num_queries": len(queries)}
+    if check_recall:
+        truth = brute_force_knn(index.points, queries, k)
+        extras["recall"] = recall_at_k(
+            [[i for i, _ in r] for r in neighbors], truth
+        )
+    return WorkloadRun(
+        name=f"flann-{abbr}",
+        style=STYLE_PARALLEL,
+        warp_ops=assemble_warps_packed(streams),
+        extras=extras,
+    )
+
+
+def _traced_search(
+    index: KdTreeIndex, queries: np.ndarray, spec: QuerySpec, dim: int
+) -> tuple[PackedStreams, list]:
+    """Run the query batch and lower its event log onto packed thread-op
+    streams; returns ``(streams, neighbors)``.
+
+    A function of its own, so the event log and the expansion's
+    temporaries are freed before the caller assembles the streams into
+    warps, which needs a few arrays per thread op of its own.
+    """
+    result = index.query_batch(queries, spec=spec, record_events=True)
+    log = result.events
     space = AddressSpace()
     nodes = space.alloc_array("kd_nodes", index.num_nodes, _NODE_BYTES)
     points = space.alloc_array("points", index.num_points, dim * 4)
@@ -70,11 +100,6 @@ def run_flann(
     # contiguous memory; address by sorted position, not original id.
     position_of = np.empty(index.num_points, dtype=np.int64)
     position_of[index.point_indices] = np.arange(index.num_points)
-
-    result = index.query_batch(
-        queries, spec=QuerySpec(k=k, max_checks=max_checks), record_events=True
-    )
-    log = result.events
 
     codes = log.codes
     idents = log.idents
@@ -116,16 +141,4 @@ def run_flann(
     streams = PackedStreams(
         ops_cum[log.starts], op_kind, op_k1, op_k2, op_addr, op_cnt
     )
-
-    extras = {"dataset": abbr, "dim": dim, "num_queries": len(queries)}
-    if check_recall:
-        truth = brute_force_knn(index.points, queries, k)
-        extras["recall"] = recall_at_k(
-            [[i for i, _ in r] for r in result.neighbors], truth
-        )
-    return WorkloadRun(
-        name=f"flann-{abbr}",
-        style=STYLE_PARALLEL,
-        warp_ops=assemble_warps_packed(streams),
-        extras=extras,
-    )
+    return streams, result.neighbors
