@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence as _SequenceBase
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -76,10 +76,10 @@ class PackedNodes(_SequenceBase):
 
     The cache guarantees index ``i`` always yields the *same* node object,
     so in-place mutation (refits, collapse orphaning) behaves exactly as it
-    would on an eager list.  The batched traversal kernels read the packed
-    topology (:meth:`flat_topology`) and the corner arrays directly
-    instead of materializing nodes; a materialized node aliases its
-    ``child_lists`` entry, never a copy.
+    would on an eager list.  The batched walk reads the packed topology
+    (:meth:`child_table`, through :meth:`Bvh.flat_topology`) and the corner
+    arrays directly instead of materializing nodes; a materialized node
+    aliases its ``child_lists`` entry, never a copy.
     """
 
     __slots__ = (
@@ -92,7 +92,6 @@ class PackedNodes(_SequenceBase):
         "_left",
         "_right",
         "_cache",
-        "_flat",
     )
 
     def __init__(self, lo, hi, firsts, counts, child_lists, parents) -> None:
@@ -105,7 +104,6 @@ class PackedNodes(_SequenceBase):
         self._right: np.ndarray | None = None
         self.parents = parents
         self._cache: list[BvhNode | None] = [None] * len(parents)
-        self._flat: tuple | None = None
 
     @classmethod
     def from_child_arrays(
@@ -129,53 +127,13 @@ class PackedNodes(_SequenceBase):
             ]
         return self._child_lists
 
-    def flat_topology(self) -> tuple:
-        """Topology as flat arrays for the batched traversal kernels.
-
-        Returns ``(is_leaf, child_off, child_cnt, child_idx, firsts,
-        counts)`` where children of internal node ``n`` occupy
-        ``child_idx[child_off[n] : child_off[n] + child_cnt[n]]`` in child
-        order.  The snapshot is taken (and cached) on first call — after
-        any build-time mutation such as ``collapse_to_bvh4``; batched
-        queries must not run concurrently with further topology edits.
-        """
-        if self._flat is None:
-            if self._child_lists is None:
-                # Array form: children come straight from the index arrays.
-                is_leaf = self._left < 0
-                internal = np.flatnonzero(~is_leaf)
-                child_cnt = np.where(is_leaf, 0, 2).astype(np.int64)
-                child_idx = np.empty(2 * internal.size, dtype=np.int64)
-                child_idx[0::2] = self._left[internal]
-                child_idx[1::2] = self._right[internal]
-            else:
-                child_lists = self._child_lists
-                child_cnt = np.array(
-                    [0 if c is None else len(c) for c in child_lists],
-                    dtype=np.int64,
-                )
-                is_leaf = np.array(
-                    [c is None for c in child_lists], dtype=bool
-                )
-                flat_children = [c for c in child_lists if c]
-                child_idx = (
-                    np.concatenate(
-                        [np.asarray(c, dtype=np.int64) for c in flat_children]
-                    )
-                    if flat_children
-                    else np.empty(0, dtype=np.int64)
-                )
-            child_off = np.zeros(len(self._cache), dtype=np.int64)
-            np.cumsum(child_cnt[:-1], out=child_off[1:])
-            self._flat = (
-                is_leaf,
-                child_off,
-                child_cnt,
-                child_idx,
-                np.asarray(self.firsts, dtype=np.int64),
-                np.asarray(self.counts, dtype=np.int64),
-            )
-        return self._flat
+    def child_table(self) -> np.ndarray:
+        """Pop-order child table (see :class:`FlatTopology`)."""
+        if self._child_lists is None:
+            # Array form: a binary node pops its right child first; a
+            # leaf's row is (-1, -1) in both arrays.
+            return np.stack((self._right, self._left), axis=1)
+        return _child_table(self._child_lists)
 
     def __len__(self) -> int:
         return len(self._cache)
@@ -206,6 +164,80 @@ class PackedNodes(_SequenceBase):
         return node
 
 
+class FlatTopology(NamedTuple):
+    """A BVH as flat arrays: the input of the batched walk.
+
+    Row ``n`` of ``children`` holds node ``n``'s children in *pop order*:
+    the scalar walk pushes a node's children in child order, so the last
+    child pops first.  Rows are padded with ``-1``; ``uniform`` is true
+    when no internal row is.  ``rank[n]`` is ``n``'s position in the whole
+    tree's depth-first order under that pop order (``-1`` if the root does
+    not reach it).  A pruned walk visits a subsequence of that order, so
+    one query's visited nodes sorted by rank are its visit order.
+    """
+
+    is_leaf: np.ndarray
+    children: np.ndarray
+    fanout: np.ndarray
+    rank: np.ndarray
+    firsts: np.ndarray
+    counts: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    uniform: bool
+
+
+def _child_table(child_lists: Sequence) -> np.ndarray:
+    """Pop-order child table of per-node child lists (``None`` or empty
+    for a leaf)."""
+    count = len(child_lists)
+    fanout = np.fromiter(
+        (len(c) if c else 0 for c in child_lists), np.int64, count
+    )
+    flat = np.fromiter(
+        (i for c in child_lists if c for i in reversed(c)), np.int64,
+        int(fanout.sum()),
+    )
+    table = np.full((count, max(1, int(fanout.max()))), -1, dtype=np.int64)
+    starts = np.cumsum(fanout) - fanout
+    table[
+        np.repeat(np.arange(count), fanout),
+        np.arange(flat.size) - np.repeat(starts, fanout),
+    ] = flat
+    return table
+
+
+def _pop_order_rank(
+    children: np.ndarray, is_leaf: np.ndarray, root: int
+) -> np.ndarray:
+    """Each node's depth-first rank under pop order, one level at a time:
+    subtree sizes bottom-up, then a child's rank is its parent's plus one
+    plus the sizes of the siblings that pop before it."""
+    count = children.shape[0]
+    inner_levels = []
+    level = np.array([root], dtype=np.int64)
+    while True:
+        inner = level[~is_leaf[level]]
+        if not inner.size:
+            break
+        inner_levels.append(inner)
+        kids = children[inner]
+        level = kids[kids >= 0]
+    size = np.ones(count + 1, dtype=np.int64)
+    size[-1] = 0  # the slot a -1 padding entry reads
+    for inner in reversed(inner_levels):
+        size[inner] = 1 + size[children[inner]].sum(axis=1)
+    rank = np.full(count, -1, dtype=np.int64)
+    rank[root] = 0
+    for inner in inner_levels:
+        kids = children[inner]
+        sizes = size[kids]
+        ranks = rank[inner][:, None] + 1 + np.cumsum(sizes, axis=1) - sizes
+        real = kids >= 0
+        rank[kids[real]] = ranks[real]
+    return rank
+
+
 @dataclass
 class Bvh:
     """A flat-array bounding volume hierarchy.
@@ -223,6 +255,46 @@ class Bvh:
     prim_boxes: Sequence[Aabb]
     arity: int = 2
     root: int = 0
+    _flat: FlatTopology | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def flat_topology(self) -> FlatTopology:
+        """The tree as a :class:`FlatTopology`, built with numpy on first
+        call and cached.
+
+        The snapshot is taken after any build-time mutation (the builders
+        and ``collapse_to_bvh4`` return finished trees); batched queries
+        must not run concurrently with further topology edits.
+        """
+        if self._flat is None:
+            nodes = self.nodes
+            if isinstance(nodes, PackedNodes):
+                children = nodes.child_table()
+                firsts = np.asarray(nodes.firsts, dtype=np.int64)
+                counts = np.asarray(nodes.counts, dtype=np.int64)
+                lo, hi = nodes.lo, nodes.hi
+            else:
+                children = _child_table([n.children for n in nodes])
+                firsts = np.array([n.first_prim for n in nodes], np.int64)
+                counts = np.array([n.prim_count for n in nodes], np.int64)
+                lo = np.array(
+                    [(n.aabb.lo.x, n.aabb.lo.y, n.aabb.lo.z) for n in nodes],
+                    dtype=np.float64,
+                )
+                hi = np.array(
+                    [(n.aabb.hi.x, n.aabb.hi.y, n.aabb.hi.z) for n in nodes],
+                    dtype=np.float64,
+                )
+            fanout = np.count_nonzero(children >= 0, axis=1).astype(np.int64)
+            is_leaf = fanout == 0
+            self._flat = FlatTopology(
+                is_leaf, children, fanout,
+                _pop_order_rank(children, is_leaf, self.root),
+                firsts, counts, lo, hi,
+                bool(np.all(fanout[~is_leaf] == children.shape[1])),
+            )
+        return self._flat
 
     @property
     def num_prims(self) -> int:

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.bvh.node import Bvh, PackedNodes
+from repro.bvh.node import Bvh
 from repro.core.ops import batch_euclid_dist, rowwise_euclid_dist
 from repro.geometry.intersect_box import intersect_ray_box
 from repro.geometry.intersect_tri import TriangleHit, intersect_ray_triangle
@@ -172,37 +172,6 @@ def radius_search(
     return hits
 
 
-def _flat_arrays(bvh: Bvh) -> tuple:
-    """Flat topology + corner arrays for the lockstep kernels.
-
-    ``PackedNodes`` trees cache the snapshot; plain node lists (the SAH
-    builder) rebuild it per call — those trees only appear in ablations.
-    """
-    nodes = bvh.nodes
-    if isinstance(nodes, PackedNodes):
-        topo = nodes.flat_topology()
-        return topo + (nodes.lo, nodes.hi)
-    count = len(nodes)
-    child_cnt = np.array([len(n.children) for n in nodes], dtype=np.int64)
-    is_leaf = child_cnt == 0
-    child_off = np.zeros(count, dtype=np.int64)
-    np.cumsum(child_cnt[:-1], out=child_off[1:])
-    child_idx = np.array(
-        [c for n in nodes for c in n.children], dtype=np.int64
-    )
-    firsts = np.array([n.first_prim for n in nodes], dtype=np.int64)
-    counts = np.array([n.prim_count for n in nodes], dtype=np.int64)
-    lo = np.array(
-        [(n.aabb.lo.x, n.aabb.lo.y, n.aabb.lo.z) for n in nodes],
-        dtype=np.float64,
-    )
-    hi = np.array(
-        [(n.aabb.hi.x, n.aabb.hi.y, n.aabb.hi.z) for n in nodes],
-        dtype=np.float64,
-    )
-    return is_leaf, child_off, child_cnt, child_idx, firsts, counts, lo, hi
-
-
 def point_query_batch(
     bvh: Bvh,
     queries: np.ndarray,
@@ -212,10 +181,13 @@ def point_query_batch(
     """Batched :func:`point_query` over a ``(Q, 3)`` query block.
 
     The traversal itself lives in the kernel backend
-    (``bvh_point_query`` — see :mod:`repro.kernels`), which advances
-    every query's DFS stack in vectorized lockstep.  Per query, the visit
-    order — and therefore the candidate order and the event stream — is
-    *identical* to the scalar loop.
+    (``bvh_point_query`` — see :mod:`repro.kernels`), which expands the
+    whole batch one tree level per step over the tree's cached
+    :meth:`~repro.bvh.node.Bvh.flat_topology`, then sorts each query's
+    visits back into depth-first order by the nodes' precomputed ranks,
+    so a batch of any size takes at most one step per level.  Per query,
+    the visit order — and therefore the candidate order and the event
+    stream — is *identical* to the scalar loop.
 
     Returns ``(cand_starts, cand_prims, log)``: candidates of query ``q``
     are ``cand_prims[cand_starts[q] : cand_starts[q + 1]]`` in traversal
@@ -230,7 +202,6 @@ def point_query_batch(
     )
     if num_queries == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, np.int64), empty_log
-    flat = _flat_arrays(bvh)
     prim_indices = np.asarray(bvh.prim_indices, dtype=np.int64)
     kernels = get_backend()
     (
@@ -238,7 +209,8 @@ def point_query_batch(
         ev_codes, ev_idents, ev_payloads, ev_starts,
         counters,
     ) = kernels.bvh_point_query(
-        queries, *flat, prim_indices, bvh.root, record_events, _BOX, _STACK
+        queries, *bvh.flat_topology(), prim_indices, bvh.root,
+        record_events, _BOX, _STACK,
     )
     if stats is not None:
         nodes_visited, box_nodes, box_tests, leaf_visits, max_depth = counters

@@ -1,6 +1,6 @@
 """Kernel layer (see docs/KERNELS.md).
 
-Hot numeric loops — HSU beat distances, BVH lockstep DFS, k-d plane
+Hot numeric loops — HSU beat distances, the BVH point walk, k-d plane
 stepping, HNSW merged-pool distances, B-tree descent trails, warp
 grouping, load coalescing — are methods of one numpy backend object;
 ``get_backend()`` returns its single instance.

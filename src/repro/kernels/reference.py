@@ -33,8 +33,9 @@ def _segmented_arange(counts: np.ndarray, total: int) -> np.ndarray:
     return np.arange(total, dtype=_INT) - np.repeat(starts, counts)
 
 
-#: Child-slot offsets of a binary node (the fanout-2 traversal fast path).
-_PAIR = np.array([0, 1], dtype=_INT)
+def _cat(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenated int parts (empty when there are none)."""
+    return np.concatenate(parts) if parts else np.empty(0, dtype=_INT)
 
 
 class ReferenceBackend:
@@ -174,32 +175,41 @@ class ReferenceBackend:
         )
         return np.sum(delta * delta, axis=1)
 
-    # -- BVH lockstep DFS (repro/bvh/traversal.py) ------------------------
+    # -- BVH level-synchronous walk (repro/bvh/traversal.py) --------------
 
     def bvh_point_query(
         self,
         queries: np.ndarray,
         is_leaf: np.ndarray,
-        child_off: np.ndarray,
-        child_cnt: np.ndarray,
-        child_idx: np.ndarray,
+        children: np.ndarray,
+        fanout: np.ndarray,
+        rank: np.ndarray,
         firsts: np.ndarray,
         counts: np.ndarray,
         lo: np.ndarray,
         hi: np.ndarray,
+        uniform: bool,
         prim_indices: np.ndarray,
         root: int,
         record_events: bool,
         box_code: int,
         stack_code: int,
     ) -> tuple:
-        """Lockstep per-query DFS point containment over a flat BVH.
+        """Level-synchronous point containment over a flat BVH, returned
+        in each query's depth-first order.
 
-        Every query keeps its own stack; each step pops one node per
-        still-active query and the box tests, candidate gathers, and event
-        appends for the whole front run as single vectorized operations.
-        Per query the visit order — hence the candidate order and event
-        stream — is identical to the scalar ``point_query`` loop.
+        Each step expands every live (query, node) pair one tree level
+        down, so a batch of any size takes at most one step per level.  The
+        tree arrays are a :class:`~repro.bvh.node.FlatTopology`: the
+        scalar ``point_query`` visits a query's nodes in ``rank`` order,
+        so sorting leaf visits and internal visits by (query, rank)
+        restores its candidate order and box/stack event stream exactly.
+        When a query pops a node, its stack holds that node plus the
+        node's *pending* entries: siblings of the node and of its
+        ancestors that were pushed before them and not yet popped.  A
+        passing child's pending count is its parent's plus the passing
+        siblings pushed before it, and the largest count plus one is the
+        maximum stack depth.
 
         Returns ``(cand_starts, cand_prims, ev_codes, ev_idents,
         ev_payloads, ev_starts, counters)``: query-major CSR candidate and
@@ -208,158 +218,89 @@ class ReferenceBackend:
         box_nodes_visited, box_tests, leaf_visits, max_stack_depth)``.
         """
         num_queries = queries.shape[0]
-        capacity = 64
-        stack = np.empty((num_queries, capacity), dtype=_INT)
-        stack[:, 0] = root
-        depth = np.ones(num_queries, dtype=_INT)
-        # Binary trees (the default LBVH) take a constant-fanout fast path
-        # below: every internal node pushes from exactly 2 children, so
-        # the CSR expansions collapse into fixed (n, 2) reshapes.
-        uniform2 = bool(np.all(child_cnt[~is_leaf] == 2))
-        cand_q_parts: list[np.ndarray] = []
-        cand_p_parts: list[np.ndarray] = []
-        ev_parts: list[tuple[int, np.ndarray, object, np.ndarray]] = []
+        width = children.shape[1]
+        qid = np.arange(num_queries, dtype=_INT)
+        node = np.full(num_queries, root, dtype=_INT)
+        pending = np.zeros(num_queries, dtype=_INT)
+        leaf_qids: list[np.ndarray] = []
+        leaf_nodes: list[np.ndarray] = []
+        box_qids: list[np.ndarray] = []
+        box_nodes: list[np.ndarray] = []
+        box_pushes: list[np.ndarray] = []
         nodes_visited = 0
-        box_nodes = 0
+        box_visits = 0
         box_tests = 0
-        leaf_visits = 0
-        max_depth = 1
+        max_pending = 0
+        while qid.size:
+            nodes_visited += qid.size
+            max_pending = max(max_pending, int(pending.max()))
+            leaf = is_leaf[node]
+            inner = ~leaf
+            leaf_qids.append(qid[leaf])
+            leaf_nodes.append(node[leaf])
+            parent_q = qid[inner]
+            if not parent_q.size:
+                break
+            parents = node[inner]
+            kids = children[parents]
+            rows = queries[parent_q][:, None, :]
+            inside = ((lo[kids] <= rows) & (rows <= hi[kids])).all(axis=2)
+            if uniform:
+                box_tests += width * parent_q.size
+            else:
+                inside &= kids >= 0
+                box_tests += int(fanout[parents].sum())
+            box_visits += parent_q.size
+            pushes = inside.sum(axis=1)
+            if record_events:
+                box_qids.append(parent_q)
+                box_nodes.append(parents)
+                box_pushes.append(pushes)
+            # Columns run in pop order, so a child's siblings pushed
+            # before it sit to its right.
+            pushed_before = np.cumsum(inside[:, ::-1], axis=1)[:, ::-1] - inside
+            pending = (pending[inner][:, None] + pushed_before)[inside]
+            node = kids[inside]
+            qid = np.repeat(parent_q, pushes)
 
-        active = np.arange(num_queries, dtype=_INT)
-        while active.size:
-            top = stack[active, depth[active] - 1]
-            depth[active] -= 1
-            leaf_mask = is_leaf[top]
-            leaf_q = active[leaf_mask]
-            internal_q = active[~leaf_mask]
-            if leaf_q.size:
-                leaf_n = top[leaf_mask]
-                leaf_counts = counts[leaf_n]
-                total = int(leaf_counts.sum())
-                offsets = np.repeat(
-                    firsts[leaf_n], leaf_counts
-                ) + _segmented_arange(leaf_counts, total)
-                cand_q_parts.append(np.repeat(leaf_q, leaf_counts))
-                cand_p_parts.append(prim_indices[offsets])
-                nodes_visited += int(leaf_q.size)
-                leaf_visits += int(leaf_q.size)
-            if internal_q.size:
-                internal_n = top[~leaf_mask]
-                fanouts = child_cnt[internal_n]
-                if record_events:
-                    ev_parts.append((box_code, internal_q, internal_n, fanouts))
-                if uniform2:
-                    # Constant fanout 2: the CSR expansion degenerates
-                    # into (n, 2)-shaped reshapes.  Values are identical
-                    # to the general path below — child order is
-                    # (left, right) per node either way, and the
-                    # within-node pass ranks match segmented_arange.
-                    n_int = internal_q.size
-                    total = 2 * n_int
-                    children = child_idx[
-                        (child_off[internal_n][:, None] + _PAIR).ravel()
-                    ]
-                    boxes_lo = lo[children].reshape(n_int, 2, 3)
-                    boxes_hi = hi[children].reshape(n_int, 2, 3)
-                    rows = queries[internal_q][:, None, :]
-                    inside2 = ((boxes_lo <= rows) & (rows <= boxes_hi)).all(
-                        axis=2
-                    )
-                    pushes = inside2.sum(axis=1, dtype=_INT)
-                    inside = inside2.ravel()
-                else:
-                    total = int(fanouts.sum())
-                    children = child_idx[
-                        np.repeat(child_off[internal_n], fanouts)
-                        + _segmented_arange(fanouts, total)
-                    ]
-                    query_rows = queries[np.repeat(internal_q, fanouts)]
-                    inside = np.all(
-                        (lo[children] <= query_rows)
-                        & (query_rows <= hi[children]),
-                        axis=1,
-                    )
-                    segment = np.repeat(
-                        np.arange(internal_q.size, dtype=_INT), fanouts
-                    )
-                    pushes = np.bincount(
-                        segment[inside], minlength=internal_q.size
-                    )
-                if record_events:
-                    ev_parts.append((stack_code, internal_q, -1, pushes))
-                nodes_visited += int(internal_q.size)
-                box_nodes += int(internal_q.size)
-                box_tests += total
-                passing = children[inside]
-                if passing.size:
-                    base_depth = depth[internal_q]
-                    need = int((base_depth + pushes).max())
-                    if need > capacity:
-                        while capacity < need:
-                            capacity *= 2
-                        grown = np.empty((num_queries, capacity), dtype=_INT)
-                        grown[:, : stack.shape[1]] = stack
-                        stack = grown
-                    if uniform2:
-                        hits = np.flatnonzero(inside)
-                        seg_pass = hits >> 1
-                        # The right child ranks second only when the left
-                        # child also passed.
-                        rank = (hits & 1) * inside2[seg_pass, 0]
-                    else:
-                        seg_pass = segment[inside]
-                        rank = _segmented_arange(pushes, passing.size)
-                    stack[
-                        internal_q[seg_pass], base_depth[seg_pass] + rank
-                    ] = passing
-                    depth[internal_q] = base_depth + pushes
-            active = np.flatnonzero(depth > 0)
-            if active.size:
-                step_max = int(depth[active].max())
-                if step_max > max_depth:
-                    max_depth = step_max
-
-        cand_qids = (
-            np.concatenate(cand_q_parts) if cand_q_parts
-            else np.empty(0, _INT)
-        )
-        cand_prims = (
-            np.concatenate(cand_p_parts) if cand_p_parts
-            else np.empty(0, _INT)
-        )
-        # Stable sort by query id: per query, step order == scalar pop
-        # order (the same finalize the EventBuffer applies to events).
-        order = np.argsort(cand_qids, kind="stable")
-        cand_prims = cand_prims[order]
-        cand_counts = np.bincount(cand_qids, minlength=num_queries)
-        cand_starts = np.zeros(num_queries + 1, dtype=_INT)
-        np.cumsum(cand_counts, out=cand_starts[1:])
+        # (query, rank) packed into one int is unique per visit, so one
+        # argsort orders the visits query-major, each query in rank order.
+        span = rank.shape[0]
+        bounds = np.arange(num_queries + 1, dtype=_INT) * span
+        leaves = _cat(leaf_nodes)
+        keys = _cat(leaf_qids) * span + rank[leaves]
+        order = np.argsort(keys, kind="stable")
+        leaves = leaves[order]
+        leaf_counts = counts[leaves]
+        ends = np.zeros(leaves.size + 1, dtype=_INT)
+        np.cumsum(leaf_counts, out=ends[1:])
+        cand_starts = ends[np.searchsorted(keys[order], bounds)]
+        cand_prims = prim_indices[
+            np.repeat(firsts[leaves], leaf_counts)
+            + _segmented_arange(leaf_counts, int(ends[-1]))
+        ]
 
         ev_codes = ev_idents = ev_payloads = ev_starts = None
         if record_events:
-            sizes = [part[1].shape[0] for part in ev_parts]
-            total_ev = int(sum(sizes))
-            ev_qids = np.empty(total_ev, dtype=_INT)
-            ev_codes = np.empty(total_ev, dtype=_INT)
-            ev_idents = np.empty(total_ev, dtype=_INT)
-            ev_payloads = np.empty(total_ev, dtype=_INT)
-            at = 0
-            for (code, qids, idents, payloads), size in zip(ev_parts, sizes):
-                span = slice(at, at + size)
-                ev_qids[span] = qids
-                ev_codes[span] = code
-                ev_idents[span] = idents
-                ev_payloads[span] = payloads
-                at += size
-            ev_order = np.argsort(ev_qids, kind="stable")
-            ev_codes = ev_codes[ev_order]
-            ev_idents = ev_idents[ev_order]
-            ev_payloads = ev_payloads[ev_order]
-            ev_counts = np.bincount(ev_qids, minlength=num_queries)
-            ev_starts = np.zeros(num_queries + 1, dtype=_INT)
-            np.cumsum(ev_counts, out=ev_starts[1:])
+            # Each internal visit emits its box event, then its stack event.
+            visited = _cat(box_nodes)
+            keys = _cat(box_qids) * span + rank[visited]
+            order = np.argsort(keys, kind="stable")
+            visited = visited[order]
+            ev_codes = np.empty(2 * visited.size, dtype=_INT)
+            ev_codes[0::2] = box_code
+            ev_codes[1::2] = stack_code
+            ev_idents = np.full(2 * visited.size, -1, dtype=_INT)
+            ev_idents[0::2] = visited
+            ev_payloads = np.empty(2 * visited.size, dtype=_INT)
+            ev_payloads[0::2] = fanout[visited]
+            ev_payloads[1::2] = _cat(box_pushes)[order]
+            ev_starts = 2 * np.searchsorted(keys[order], bounds)
 
-        counters = (nodes_visited, box_nodes, box_tests, leaf_visits, max_depth)
+        counters = (
+            nodes_visited, box_visits, box_tests, int(leaves.size),
+            max_pending + 1,
+        )
         return (
             cand_starts, cand_prims,
             ev_codes, ev_idents, ev_payloads, ev_starts,

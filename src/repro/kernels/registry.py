@@ -1,7 +1,7 @@
 """The kernel-backend accessor: one seam for every hot numeric loop.
 
-The hot kernels of the reproduction — beat-structured HSU distances, BVH
-lockstep-DFS point and radius queries, k-d plane stepping, HNSW
+The hot kernels of the reproduction — beat-structured HSU distances, the
+level-synchronous BVH point walk, k-d plane stepping, HNSW
 merged-pool distances, B-tree descent trails, packed-stream warp
 grouping and the simulator's load-coalescing loop — are methods of one
 backend object, :class:`repro.kernels.reference.ReferenceBackend`, the

@@ -138,7 +138,8 @@ class BvhRadiusIndex:
 
         Per query, neighbors and events are bit-identical to
         :func:`~repro.bvh.traversal.radius_search` on the built tree; the
-        lockstep kernels advance the whole front per step.
+        level-synchronous walk advances every query one tree level per
+        step, then restores each query's depth-first order.
         """
         call = "BvhRadiusIndex.query_batch"
         if self._bvh is None:

@@ -17,10 +17,13 @@ neighbor-search throughput:
 
 :class:`Batcher` owns one endpoint's pending queue and a single flush
 coroutine; every admitted query is answered **exactly once** — its future
-resolves with its own answer (or the batch's exception) — and batches
-preserve submission order, so batch execution is bit-identical to calling
+resolves with its own answer or its own error — and batches preserve
+submission order, so batch execution is bit-identical to calling
 ``query_batch`` on the concatenated query block directly
 (``tests/test_serving.py`` property-tests both under concurrent clients).
+When the executor raises on a batch, each of its queries is re-run
+alone, so one malformed query (a NaN, a wrong shape) fails only its own
+request; the re-run happens only after a failure.
 """
 
 from __future__ import annotations
@@ -61,6 +64,13 @@ class BatchPolicy:
                 f"({self.max_batch})"
             )
         return self
+
+
+def _count_error(answers: Sequence[object], queries: list) -> ReproError:
+    return ReproError(
+        f"batch executor returned {len(answers)} answers "
+        f"for {len(queries)} queries"
+    )
 
 
 class _Pending:
@@ -190,30 +200,54 @@ class Batcher:
             return
         if self._metrics is not None:
             self._metrics.on_batch(len(batch), len(self._pending))
+        queries = [pending.query for pending in batch]
+        failed: list[bool] | None = None
         try:
-            answers = self._execute([pending.query for pending in batch])
+            answers = self._execute(queries)
         except Exception as error:  # noqa: BLE001 - forwarded to callers
-            self._resolve_error(batch, error)
-            return
+            if len(batch) == 1:
+                self._resolve_error(batch, error)
+                return
+            # One bad query must not fail the queries batched with it:
+            # answer each alone, so each gets its own answer or error.
+            answers, failed = self._execute_alone(queries)
         if len(answers) != len(batch):
-            self._resolve_error(
-                batch,
-                ReproError(
-                    f"batch executor returned {len(answers)} answers "
-                    f"for {len(batch)} queries"
-                ),
-            )
+            self._resolve_error(batch, _count_error(answers, batch))
             return
         if self._pace is not None:
             seconds = self._pace(len(batch))
             if seconds > 0.0:
                 await asyncio.sleep(seconds)
         now = self._clock()
-        for pending, answer in zip(batch, answers):
+        for index, (pending, answer) in enumerate(zip(batch, answers)):
+            if failed is not None and failed[index]:
+                self._resolve_error([pending], answer)
+                continue
             if not pending.future.done():
                 pending.future.set_result(answer)
             if self._metrics is not None:
                 self._metrics.on_answer(now - pending.submitted)
+
+    def _execute_alone(
+        self, queries: list[object]
+    ) -> tuple[list[object], list[bool]]:
+        """Run each query as its own batch: ``(outcomes, failed)``, where
+        an outcome is the query's answer or, if ``failed``, its error."""
+        outcomes: list[object] = []
+        failed: list[bool] = []
+        for query in queries:
+            try:
+                answers = self._execute([query])
+            except Exception as error:  # noqa: BLE001 - this query's own
+                outcomes.append(error)
+                failed.append(True)
+                continue
+            wrong = len(answers) != 1
+            outcomes.append(
+                _count_error(answers, [query]) if wrong else answers[0]
+            )
+            failed.append(wrong)
+        return outcomes, failed
 
     def _resolve_error(self, batch: list[_Pending], error: Exception) -> None:
         for pending in batch:

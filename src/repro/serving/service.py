@@ -26,6 +26,7 @@ operator guide.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 
 from repro.errors import ConfigError
@@ -157,8 +158,11 @@ async def serve_tcp(
     one response per line: ``{"result": [[id, measure], ...]}`` on
     success, ``{"error": str}`` otherwise.  Requests on one connection
     are pipelined — each is answered as its batch completes, preserving
-    per-connection order.  The exemplar shape: a socket front-end
-    streaming live queries to an accelerator-backed backend.
+    per-connection order.  A line longer than the stream reader's limit
+    (64 KiB) gets one ``{"error": ...}`` line and ends the connection:
+    where that line ends cannot be told from where the next begins.  The
+    exemplar shape: a socket front-end streaming live queries to an
+    accelerator-backed backend.
 
     Returns the listening server; the bound address is
     ``server.sockets[0].getsockname()``.  Close with ``server.close()``
@@ -169,7 +173,11 @@ async def serve_tcp(
                      writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError as error:  # the line overran the limit
+                    await _refuse(reader, writer, f"RequestTooLarge: {error}")
+                    break
                 if not line:
                     break
                 try:
@@ -182,9 +190,26 @@ async def serve_tcp(
                     }
                 except Exception as error:  # noqa: BLE001 - wire boundary
                     payload = {"error": f"{type(error).__name__}: {error}"}
-                writer.write(json.dumps(payload).encode() + b"\n")
+                writer.write(_reply(payload))
                 await writer.drain()
         finally:
             writer.close()
 
     return await asyncio.start_server(handle, host, port)
+
+
+def _reply(payload: dict[str, object]) -> bytes:
+    """One JSON-lines response."""
+    return json.dumps(payload).encode() + b"\n"
+
+
+async def _refuse(reader: asyncio.StreamReader,
+                  writer: asyncio.StreamWriter, error: str) -> None:
+    """Send one error line and our end of the stream, then read the
+    client's rest to its end: closing with bytes unread would reset the
+    connection under the reply."""
+    writer.write(_reply({"error": error}))
+    writer.write_eof()
+    with contextlib.suppress(ConnectionError):
+        while await reader.read(1 << 16):
+            pass

@@ -16,9 +16,15 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.bvh.collapse import collapse_to_bvh4
 from repro.bvh.lbvh import build_lbvh_for_points
 from repro.bvh.sah import build_sah
-from repro.bvh.traversal import TraversalStats, radius_search
+from repro.bvh.traversal import (
+    TraversalStats,
+    point_query,
+    point_query_batch,
+    radius_search,
+)
 from repro.compiler.assembler import (
     WARP_SIZE,
     PackedStreams,
@@ -81,17 +87,25 @@ def _assert_matches(batch, queries, oracle):
 # ---------------------------------------------------------------------------
 
 
+def _bvh(points, radius, builder="lbvh", arity=2):
+    """The tree ``BvhRadiusIndex(builder, arity)`` builds, built directly."""
+    if builder == "lbvh":
+        bvh = build_lbvh_for_points(points, radius)
+    else:
+        bvh = build_sah(
+            [Aabb.around_point(p, radius) for p in points], leaf_size=1
+        )
+    return collapse_to_bvh4(bvh) if arity == 4 else bvh
+
+
 class TestBvhBatch:
-    def _case(self, points, queries, radius=0.3, builder="lbvh"):
+    def _case(self, points, queries, radius=0.3, builder="lbvh", arity=2):
         points = np.asarray(points, float)
-        index = BvhRadiusIndex(builder=builder).build(points, radius)
+        index = BvhRadiusIndex(builder=builder, arity=arity).build(
+            points, radius
+        )
         batch = index.query_batch(queries, record_events=True)
-        if builder == "lbvh":
-            bvh = build_lbvh_for_points(points, radius)
-        else:
-            bvh = build_sah(
-                [Aabb.around_point(p, radius) for p in points], leaf_size=1
-            )
+        bvh = _bvh(points, radius, builder, arity)
 
         def oracle(q):
             stats = TraversalStats(record_events=True)
@@ -110,6 +124,30 @@ class TestBvhBatch:
         rng = np.random.default_rng(16)
         self._case(rng.random((150, 3)), rng.random((24, 3)), radius=0.2,
                    builder="sah")
+
+    def test_bvh4_batch_matches_scalar(self):
+        """``collapse_to_bvh4`` trees have nodes of two to four children:
+        the walk's general-fanout path."""
+        rng = np.random.default_rng(17)
+        self._case(rng.random((200, 3)), rng.random((32, 3)), arity=4)
+
+    @pytest.mark.parametrize(
+        "builder,arity", [("lbvh", 2), ("sah", 2), ("lbvh", 4)]
+    )
+    def test_traversal_stats_match_scalar(self, builder, arity):
+        """Batch counters equal the scalar loop's over the same queries:
+        visit and test counts summed, ``max_stack_depth`` the maximum."""
+        rng = np.random.default_rng(18)
+        points = rng.random((300, 3))
+        queries = rng.random((40, 3))
+        bvh = _bvh(points, 0.15, builder, arity)
+        scalar = TraversalStats()
+        for q in queries:
+            point_query(bvh, q, stats=scalar)
+        batch = TraversalStats()
+        point_query_batch(bvh, queries, stats=batch)
+        assert batch == scalar
+        assert batch.max_stack_depth > 2
 
     def test_duplicate_points(self):
         rng = np.random.default_rng(2)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.btree.btree import BTreeStats
 from repro.errors import ConfigError, ReproError
-from repro.search import BTreeKvIndex, KdTreeIndex, QuerySpec
+from repro.search import BTreeKvIndex, BvhRadiusIndex, KdTreeIndex, QuerySpec
 from repro.serving import (
     AdmissionError,
     Batcher,
@@ -402,6 +402,40 @@ class TestQueryService:
         row = report.to_json_dict()
         assert json.loads(json.dumps(row))["answered"] == report.answered
 
+    def test_bad_query_fails_only_its_own_request(self):
+        """A NaN query and a wrong-shape query batched with good ones get
+        their own ``ConfigError``; the good queries get the answers
+        ``query_batch`` gives them alone."""
+        rng = np.random.default_rng(7)
+        points = rng.random((200, 3))
+        endpoint = Endpoint(
+            name="point_faults", kind="point", family="bvhnn", abbr="T",
+            index=BvhRadiusIndex().build(points, 0.2),
+        )
+        good = [list(q) for q in rng.random((3, 3))]
+        queries = [good[0], [0.5, float("nan"), 0.5], good[1], [0.5, 0.5],
+                   good[2]]
+
+        async def main():
+            service = QueryService().add_endpoint(
+                endpoint, BatchPolicy(max_batch=8, max_wait_s=0.05)
+            )
+            results = await asyncio.gather(
+                *(service.submit(endpoint.name, q) for q in queries),
+                return_exceptions=True,
+            )
+            snapshot = service.snapshot()
+            await service.close()
+            return results, snapshot
+
+        results, snapshot = asyncio.run(main())
+        assert snapshot[f"serving/{endpoint.name}/batches"] == 1
+        assert isinstance(results[1], ConfigError)
+        assert isinstance(results[3], ConfigError)
+        answers = [results[0], results[2], results[4]]
+        assert answers == endpoint.index.query_batch(good).neighbors
+        assert all(answers)
+
     def test_tcp_roundtrip(self):
         dataset = np.asarray(
             np.random.default_rng(0).normal(size=(64, 3)), dtype=np.float64
@@ -437,3 +471,59 @@ class TestQueryService:
         direct = endpoint.run_batch([dataset[0]])[0]
         assert good["result"] == [[int(i), float(d)] for i, d in direct]
         assert "ConfigError" in bad["error"]
+
+    def test_tcp_oversize_line_gets_one_error_then_a_clean_close(self):
+        """A request line over the reader's 64 KiB limit is answered with
+        one error line and an orderly end of stream, not a reset; a new
+        connection is served afterwards."""
+        dataset = np.asarray(
+            np.random.default_rng(1).normal(size=(64, 3)), dtype=np.float64
+        )
+        endpoint = Endpoint(
+            name="knn_tcp", kind="knn", family="flann", abbr="T",
+            index=KdTreeIndex().build(dataset), spec=QuerySpec(k=3),
+        )
+        oversize = json.dumps(
+            {"endpoint": "knn_tcp", "query": [0.5] * 30_000}
+        ).encode() + b"\n"
+        assert len(oversize) > 1 << 16
+
+        async def request(host, port, line):
+            reader, writer = await asyncio.open_connection(host, port)
+            try:
+                writer.write(line)
+                await writer.drain()
+                reply = json.loads(await reader.readline())
+                end = await reader.read()
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return reply, end
+
+        async def main():
+            service = QueryService().add_endpoint(
+                endpoint, BatchPolicy(max_batch=4, max_wait_s=0.001)
+            )
+            server = await serve_tcp(service)
+            host, port = server.sockets[0].getsockname()[:2]
+            try:
+                refused = await request(host, port, oversize)
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(json.dumps(
+                    {"endpoint": "knn_tcp", "query": list(dataset[3])}
+                ).encode() + b"\n")
+                await writer.drain()
+                served = json.loads(await reader.readline())
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+                await service.close()
+            return refused, served
+
+        (reply, end), served = asyncio.run(main())
+        assert "RequestTooLarge" in reply["error"]
+        assert end == b""
+        direct = endpoint.run_batch([dataset[3]])[0]
+        assert served["result"] == [[int(i), float(d)] for i, d in direct]
