@@ -17,17 +17,18 @@ and manifests with the campaign CLI.  A recorded, pre-lowered
 it under an explicit config with
 :func:`repro.experiments.campaign.cached_simulate`.
 
-The module also memoizes the last workload run (:func:`run_workload`),
-from which each job of a campaign workload group lowers the one trace it
-simulates.  A campaign runs one workload group at a time and empties the
-memo when each group ends (:func:`release_workloads`), so a finished
-group's run does not outlive it.
+The build store (:mod:`repro.builds`) keeps the last workload run
+(:func:`run_workload`), from which each job of a campaign workload group
+lowers the one trace it simulates.  A campaign runs one workload group at
+a time and empties the store's group scope when each group ends, so a
+finished group's run, datasets and indexes do not outlive it.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from repro import builds
 from repro.errors import ConfigError
 from repro.experiments import campaign
 from repro.gpusim.stats import SimStats
@@ -36,7 +37,6 @@ from repro.workloads.base import WorkloadRun
 __all__ = [
     "simulate",
     "run_workload",
-    "release_workloads",
     "clear_caches",
 ]
 
@@ -46,17 +46,18 @@ def run_workload(
     metric: str = "euclid", scale: float = 1.0, shards: int = 1,
     shard: int = 0,
 ) -> WorkloadRun:
-    """Execute one named workload (memoized: the last run, which every
-    job of a campaign workload group lowers its trace from).
+    """Execute one named workload (stored: the last run, which every job
+    of a campaign workload group lowers its trace from).
 
     ``metric`` selects the distance metric for the ``arkade`` family
     (every other family is Euclidean-only — see docs/WORKLOADS.md), and
     ``scale``/``shards``/``shard`` one device of a multi-device BVH-NN run
     (:func:`repro.workloads.bvhnn.run_bvhnn_sharded`, docs/SHARDING.md).
     The guards below protect direct calls; a campaign ``Job`` has already
-    checked its axes.  The memo is keyed on the normalized arguments
+    checked its axes.  The run is stored under the normalized arguments
     (the resolved query count), so every spelling of one run — keyword
-    or positional, ``None`` or the default count — executes it once.
+    or positional, ``None`` or the default count — executes it once;
+    ``builds.build_counts["run"]`` counts the executions.
     """
     from repro.experiments import common  # deferred: registry lives there
 
@@ -76,12 +77,12 @@ def run_workload(
     )
 
 
-@lru_cache(maxsize=1)
+@builds.stored("run", latest=True)
 def _execute(
     family: str, abbr: str, count: int, metric: str, scale: float,
     shards: int, shard: int,
 ) -> WorkloadRun:
-    """:func:`run_workload`'s memo over normalized arguments."""
+    """:func:`run_workload` over normalized arguments."""
     if shards != 1 or scale != 1.0:
         from repro.workloads.bvhnn import run_bvhnn_sharded
 
@@ -111,12 +112,6 @@ def _execute(
     raise ConfigError(f"unknown workload family {family!r}")
 
 
-#: The memo's probes under the public name: ``cache_info().misses``
-#: counts workload executions.
-run_workload.cache_info = _execute.cache_info
-run_workload.cache_clear = _execute.cache_clear
-
-
 @lru_cache(maxsize=256)
 def _job_stats(job: campaign.Job) -> SimStats:
     """Process-level memoization of named simulations (cache mode
@@ -124,17 +119,11 @@ def _job_stats(job: campaign.Job) -> SimStats:
     return campaign.run_job(job).stats
 
 
-def release_workloads() -> None:
-    """Empty the memo of the last workload run; the campaign calls this
-    when a workload group's last job ends.  The process-lifetime memos of
-    built datasets, indexes and graphs are kept."""
-    _execute.cache_clear()
-
-
 def clear_caches() -> None:
     """Drop the process-level memoization (the workload run, job stats).
-    The persistent on-disk campaign cache is unaffected."""
-    release_workloads()
+    Built datasets, indexes and graphs stay in the build store, and the
+    persistent on-disk campaign cache is unaffected."""
+    builds.drop("run")
     _job_stats.cache_clear()
 
 

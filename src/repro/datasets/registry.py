@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from repro import builds
 from repro.datasets import pointcloud, synthetic
 from repro.errors import DatasetError
 
@@ -128,27 +128,39 @@ class Dataset:
         return self.spec.metric
 
 
-@lru_cache(maxsize=32)
 def load_dataset(
     abbr: str, num_queries: int = 32, scale: float = 1.0, seed: int = 0
 ) -> Dataset:
-    """Materialize a dataset (cached).
+    """Materialize a dataset.
 
-    ``scale`` multiplies the registry's scaled point count (bounded below at
-    64 points) for quick tests or deeper sweeps.
+    The index points come from the build store, keyed without
+    ``num_queries``, so every query count shares one point set; the
+    ``num_queries`` held-out queries are drawn per call.  ``scale``
+    multiplies the registry's scaled point count (bounded below at 64
+    points) for quick tests or deeper sweeps.
     """
     entry = spec(abbr)
     if num_queries < 1:
         raise DatasetError("num_queries must be >= 1")
     if scale <= 0.0:
         raise DatasetError("scale must be positive")
-    count = max(64, int(entry.repro_points * scale))
+    queries = entry.generator(num_queries, _seed(abbr, seed) + 10_000)
+    return Dataset(spec=entry, points=_points(abbr, scale, seed),
+                   queries=queries)
+
+
+def _seed(abbr: str, seed: int) -> int:
     # Offset the seed per dataset so same-shaped datasets (e.g. mnist and
     # fashion-mnist) do not come out byte-identical.
-    dataset_seed = seed + zlib.crc32(entry.abbr.encode("ascii")) % 100_000
-    points = entry.generator(count, dataset_seed)
-    queries = entry.generator(num_queries, dataset_seed + 10_000)
-    return Dataset(spec=entry, points=points, queries=queries)
+    return seed + zlib.crc32(abbr.encode("ascii")) % 100_000
+
+
+@builds.stored("dataset")
+def _points(abbr: str, scale: float, seed: int) -> np.ndarray:
+    """The dataset's index points."""
+    entry = spec(abbr)
+    count = max(64, int(entry.repro_points * scale))
+    return entry.generator(count, _seed(abbr, seed))
 
 
 def perturbed_queries(

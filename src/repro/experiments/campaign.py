@@ -40,8 +40,8 @@ that already holds the same bytes untouched.
 
 Within a campaign each trace is ingested once (:class:`TraceIngest`): the
 design points that share a trace reuse its fingerprint and, per pack key,
-its SoA pack, and the group's run, traces and pack are released when its
-last job ends.  ``python -m repro.experiments.campaign``
+its SoA pack, and the group's run, traces, pack, datasets and indexes
+are released when its last job ends.  ``python -m repro.experiments.campaign``
 runs the default §V campaign from the command line; ``run_all`` uses the
 same machinery to prewarm the cache before rendering the figures.
 """
@@ -60,6 +60,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro import builds
 from repro.core.isa import EUCLID_WIDTH, check_euclid_width
 from repro.errors import ConfigError
 from repro.gpusim import GpuConfig, GpuSimulator, engine
@@ -606,19 +607,21 @@ def _warm_workload_module(family: str) -> None:
 
 class TraceIngest:
     """One workload group in memory: the trace its jobs simulate, that
-    trace's fingerprint and pack, and (through the api memo) its run.
+    trace's fingerprint and pack, and (through the build store's group
+    scope, :mod:`repro.builds`) its run, datasets and indexes.
 
-    The jobs of a workload group lower their traces from one memoized run
+    The jobs of a workload group lower their traces from one stored run
     (:func:`repro.api.run_workload`) and simulate them under several
     configs, so :func:`run_job` lowers and fingerprints each trace once
     and :meth:`pack` packs it once per pack key
     (:data:`repro.gpusim.soa.PACK_FIELDS`) instead of once per job.  At
     most one trace is held, with at most one
     :class:`~repro.gpusim.soa.PackedKernel`; both are released before
-    the next trace is lowered.  Leaving the ``with`` block that
-    :func:`execute` opens per group (serial or in a pool worker) calls
-    :meth:`release`; a :func:`run_job` without an ingest ingests afresh
-    and leaves the api memo to its caller.
+    the next trace is lowered.  Entering the ``with`` block that
+    :func:`execute` opens per group (serial or in a pool worker) opens
+    the store's group scope, and leaving it calls :meth:`release`; a
+    :func:`run_job` without an ingest ingests afresh and leaves what it
+    builds in the store's process scope.
     """
 
     def __init__(self) -> None:
@@ -628,18 +631,17 @@ class TraceIngest:
         self._packed: PackedKernel | None = None
 
     def __enter__(self) -> TraceIngest:
+        builds.open_group()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.release()
 
     def release(self) -> None:
-        """Drop the held trace and pack and empty the api memo that holds
-        the group's run (:func:`repro.api.release_workloads`)."""
-        from repro import api  # deferred: the facade wires onto us
-
+        """Drop the held trace and pack, and empty the build store's group
+        scope: the group's run, datasets, indexes and graphs."""
         self._source = self._kernel = self._packed = None
-        api.release_workloads()
+        builds.release_group()
 
     def fetch(self, job: Job) -> tuple[KernelTrace, str]:
         """``job``'s trace and its fingerprint: the held ones if ``job``
@@ -662,7 +664,7 @@ class TraceIngest:
 
 def job_trace(job: Job) -> KernelTrace:
     """The job's trace: ``job.variant`` lowered at ``job.euclid_width``
-    from its group's memoized run (:func:`repro.api.run_workload`)."""
+    from its group's stored run (:func:`repro.api.run_workload`)."""
     from repro import api  # deferred: the facade wires onto us
     from repro.workloads import base
 
@@ -692,7 +694,7 @@ def run_job(
     Fast path (warm): the trace-tier entry maps the job's workload
     parameters to a trace fingerprint without executing the workload; the
     stats tier then supplies the result.  Cold path: execute the workload
-    (the api memo shares the run across the group's jobs), lower the
+    (the build store shares the run across the group's jobs), lower the
     job's variant, fingerprint, simulate, and populate both tiers.  ``ingest``
     carries the trace, fingerprint and pack over from the previous job
     when this job simulates the same trace.
@@ -909,7 +911,7 @@ def _worker(
 
 def _run_group(jobs: tuple[Job, ...]) -> list[JobRecord]:
     """Run one workload group's jobs, then release the group: nothing of
-    its run, traces or pack outlives its last job."""
+    its run, traces, pack, datasets or indexes outlives its last job."""
     with TraceIngest() as ingest:
         return [_run_recorded(job, ingest) for job in jobs]
 

@@ -14,7 +14,7 @@ table isolates what each Arkade reduction costs on the unit:
 
 ``compute()`` routes through the campaign cache like every figure module;
 the companion workload-side counters (plane/distance tests, transform
-rows, verified queries) come from the memoized workload run itself.
+rows, verified queries) come from the stored workload run itself.
 """
 
 from __future__ import annotations

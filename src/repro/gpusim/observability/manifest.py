@@ -20,6 +20,7 @@ experiment overwrites its previous manifest instead of accumulating files.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -61,8 +62,10 @@ def config_hash(config) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+@functools.cache
 def git_sha() -> str:
-    """HEAD commit of the repository containing this file, or ``unknown``."""
+    """HEAD commit of the repository containing this file, or ``unknown``;
+    resolved once per process (one ``git`` process, not one a manifest)."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],

@@ -18,8 +18,8 @@ The pieces, one module each:
   (``max_batch`` / ``max_wait_s`` / ``max_queue``), :class:`AdmissionError`;
 * :mod:`~repro.serving.backends` — :class:`Endpoint` plus builders for
   the four substrates (``point`` / ``knn`` / ``ann`` / ``kv``) and the
-  multi-device ``sharded`` kind (:mod:`repro.sharding`), artifact-cache
-  backed;
+  multi-device ``sharded`` kind (:mod:`repro.sharding`), kept in the
+  build store (:mod:`repro.builds`) and artifact-cache backed;
 * :mod:`~repro.serving.cost` — :class:`GpuCostModel` / :func:`calibrate`,
   the simulated-GPU service time charged per batch;
 * :mod:`~repro.serving.metrics` — :class:`ServingMetrics` /

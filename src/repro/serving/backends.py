@@ -20,32 +20,30 @@ registry datasets:
   :class:`~repro.sharding.ShardedIndex` over N simulated GPUs, answers
   bit-identical to the unsharded ``point`` endpoint (docs/SHARDING.md).
 
-Index builds are shared two ways: a process-local ``lru_cache`` keeps one
-instance per parameterization (every concurrent client hits the same
-prebuilt structure), and expensive derived build inputs go through the
-campaign's persistent **artifact cache** — the BVH endpoint reuses the
-``bvhnn-radius`` artifact under exactly the key the ``bvhnn`` workload
-writes, so a serving process warm-starts from any prior campaign run (and
-vice versa).
+Every builder goes through the build store (:mod:`repro.builds`), whose
+process scope keeps an endpoint built outside a campaign group for the
+life of the process: a serving process builds each endpoint once, and
+every concurrent client hits the same prebuilt structure.  An endpoint asks for
+its index under the same key its workload family builds it with (the
+``bvhnn``, ``flann``, ``arkade``, ``ggnn`` and ``btree`` workloads'
+builders), so :func:`repro.serving.calibrate` simulates that family over
+the endpoint's own index instead of building a copy.  Expensive derived
+build inputs go through the campaign's persistent **artifact cache** —
+the BVH search radius is the ``bvhnn-radius`` artifact — so a serving
+process warm-starts from any prior campaign run (and vice versa).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
+from repro import builds
 from repro.datasets.registry import load_dataset, perturbed_queries
 from repro.errors import ConfigError
-from repro.search import (
-    BTreeKvIndex,
-    BvhRadiusIndex,
-    HnswIndex,
-    KdTreeIndex,
-    QuerySpec,
-)
+from repro.search import BvhRadiusIndex, QuerySpec
 
 #: family tag per endpoint kind — the identity the simulated-GPU cost
 #: model calibrates against (`repro.serving.cost.calibrate`).
@@ -101,27 +99,13 @@ class Endpoint:
         }
 
 
-def _bvh_radius(abbr: str, scale: float, seed: int,
-                points: np.ndarray) -> float:
-    """The tuned search radius, through the campaign artifact cache.
-
-    Deliberately the same artifact kind *and* key the ``bvhnn`` workload
-    computes (`repro.workloads.bvhnn._cached_radius`), so campaign runs
-    and serving processes share one computation.
-    """
-    from repro.workloads.bvhnn import _cached_radius
-
-    return _cached_radius(abbr, scale, seed, points)
-
-
-@lru_cache(maxsize=8)
+@builds.stored("point-endpoint")
 def point_endpoint(abbr: str = "R10K", scale: float = 1.0,
                    seed: int = 0) -> Endpoint:
     """BVH radius search over a 3-D registry dataset (RTNN shape)."""
-    dataset = load_dataset(abbr, num_queries=1, scale=scale, seed=seed)
-    points = dataset.points.astype(np.float64)
-    radius = _bvh_radius(abbr, scale, seed, points)
-    index = BvhRadiusIndex().build(points, radius)
+    from repro.workloads.bvhnn import _build
+
+    dataset, index = _build(abbr, scale, seed, "lbvh", 2)
     return Endpoint(
         name=f"point_{abbr.lower().replace('+', '')}",
         kind="point",
@@ -132,12 +116,13 @@ def point_endpoint(abbr: str = "R10K", scale: float = 1.0,
     )
 
 
-@lru_cache(maxsize=8)
+@builds.stored("knn-endpoint")
 def knn_endpoint(abbr: str = "R10K", k: int = 5, max_checks: int = 64,
                  scale: float = 1.0, seed: int = 0) -> Endpoint:
     """k-d tree bounded kNN over a 3-D registry dataset (FLANN shape)."""
-    dataset = load_dataset(abbr, num_queries=1, scale=scale, seed=seed)
-    index = KdTreeIndex().build(dataset.points.astype(np.float64))
+    from repro.workloads.flann import _build_tree
+
+    dataset, index = _build_tree(abbr, 8, scale, seed)
     return Endpoint(
         name=f"knn_{abbr.lower().replace('+', '')}",
         kind="knn",
@@ -149,7 +134,7 @@ def knn_endpoint(abbr: str = "R10K", k: int = 5, max_checks: int = 64,
     )
 
 
-@lru_cache(maxsize=8)
+@builds.stored("metric-endpoint")
 def metric_endpoint(abbr: str = "R10K", metric: str = "l1", k: int = 5,
                     scale: float = 1.0, seed: int = 0) -> Endpoint:
     """Exact non-Euclidean kNN over a 3-D registry dataset (Arkade shape).
@@ -160,10 +145,9 @@ def metric_endpoint(abbr: str = "R10K", metric: str = "l1", k: int = 5,
     workload, so served answers match the brute-force per-metric
     reference the campaign verifies against.
     """
-    dataset = load_dataset(abbr, num_queries=1, scale=scale, seed=seed)
-    index = KdTreeIndex(leaf_size=8, metric=metric).build(
-        dataset.points.astype(np.float64)
-    )
+    from repro.workloads.arkade import _build_index
+
+    dataset, index = _build_index(abbr, metric, 8, scale, seed)
     return Endpoint(
         name=f"metric_{metric}_{abbr.lower().replace('+', '')}",
         kind="metric",
@@ -175,12 +159,14 @@ def metric_endpoint(abbr: str = "R10K", metric: str = "l1", k: int = 5,
     )
 
 
-@lru_cache(maxsize=4)
+@builds.stored("ann-endpoint")
 def ann_endpoint(abbr: str = "S10K", k: int = 10, ef: int = 32,
                  scale: float = 1.0, seed: int = 0) -> Endpoint:
-    """HNSW best-first ANN over a high-dimensional dataset (GGNN shape)."""
-    dataset = load_dataset(abbr, num_queries=1, scale=scale, seed=seed)
-    index = HnswIndex(seed=seed).build(dataset.points.astype(np.float64))
+    """HNSW best-first ANN over a high-dimensional dataset (GGNN shape):
+    the ``ggnn`` workload's graph, under the dataset's own metric."""
+    from repro.workloads.ggnn import _build_graph
+
+    dataset, index = _build_graph(abbr, 12, 48, scale, seed)
     return Endpoint(
         name=f"ann_{abbr.lower().replace('+', '')}",
         kind="ann",
@@ -192,7 +178,7 @@ def ann_endpoint(abbr: str = "S10K", k: int = 10, ef: int = 32,
     )
 
 
-@lru_cache(maxsize=8)
+@builds.stored("kv-endpoint")
 def kv_endpoint(abbr: str = "B+10K", branch: int = 256, scale: float = 1.0,
                 seed: int = 0) -> Endpoint:
     """B+ tree key-value lookups over a registry key set (Rodinia shape).
@@ -202,9 +188,9 @@ def kv_endpoint(abbr: str = "B+10K", branch: int = 256, scale: float = 1.0,
     fixed fraction of guaranteed misses (keys offset by 0.5 never match
     the integer-valued key space).
     """
-    dataset = load_dataset(abbr, num_queries=1, scale=scale, seed=seed)
-    keys = dataset.points.astype(np.float64).reshape(-1)
-    index = BTreeKvIndex(branch=branch).build(keys)
+    from repro.workloads.btree_kv import _build
+
+    keys, index = _build(abbr, branch, scale, seed)
 
     def sampler(count: int, sample_seed: int) -> np.ndarray:
         from repro.serving.traffic import zipf_ranks
@@ -230,7 +216,7 @@ def kv_endpoint(abbr: str = "B+10K", branch: int = 256, scale: float = 1.0,
     )
 
 
-@lru_cache(maxsize=4)
+@builds.stored("sharded-endpoint")
 def sharded_endpoint(abbr: str = "R10K", shards: int = 2,
                      scale: float = 1.0, seed: int = 0) -> Endpoint:
     """BVH radius search partitioned across ``shards`` simulated GPUs.
@@ -243,10 +229,10 @@ def sharded_endpoint(abbr: str = "R10K", shards: int = 2,
     (``index.stats()["interconnect"]``; docs/SHARDING.md).
     """
     from repro.sharding import ShardedIndex
+    from repro.workloads.bvhnn import _sharded_parts
 
     dataset = load_dataset(abbr, num_queries=1, scale=scale, seed=seed)
-    points = dataset.points.astype(np.float64)
-    radius = _bvh_radius(abbr, scale, seed, points)
+    points, radius, _shard_ids = _sharded_parts(abbr, scale, seed, shards)
     index = ShardedIndex(
         BvhRadiusIndex, shards, name=f"point_{abbr.lower().replace('+', '')}"
     ).build(points, radius=radius)

@@ -17,8 +17,9 @@ neighbor-search throughput:
 
 :class:`Batcher` owns one endpoint's pending queue and a single flush
 coroutine; every admitted query is answered **exactly once** — its future
-resolves with its own answer or its own error — and batches preserve
-submission order, so batch execution is bit-identical to calling
+resolves with its own answer or its own error, unless its client cancelled
+it first, which counts as no answer — and batches preserve submission
+order, so batch execution is bit-identical to calling
 ``query_batch`` on the concatenated query block directly
 (``tests/test_serving.py`` property-tests both under concurrent clients).
 When the executor raises on a batch, each of its queries is re-run
@@ -223,8 +224,9 @@ class Batcher:
             if failed is not None and failed[index]:
                 self._resolve_error([pending], answer)
                 continue
-            if not pending.future.done():
-                pending.future.set_result(answer)
+            if pending.future.done():
+                continue  # cancelled while it waited: not an answer
+            pending.future.set_result(answer)
             if self._metrics is not None:
                 self._metrics.on_answer(now - pending.submitted)
 

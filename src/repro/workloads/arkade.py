@@ -24,10 +24,9 @@ scope (docs/METRICS.md).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
+from repro import builds
 from repro.compiler.assembler import PackedStreams, assemble_warps_packed
 from repro.compiler.layout import AddressSpace
 from repro.compiler.lowering import STYLE_PARALLEL
@@ -64,7 +63,7 @@ _HEAP_OPS = 5
 _TDIST_ANGULAR = 1
 
 
-@lru_cache(maxsize=16)
+@builds.stored("arkade-index")
 def _build_index(abbr: str, metric: str, leaf_size: int, scale: float,
                  seed: int):
     dataset = load_dataset(abbr, num_queries=512, scale=scale, seed=seed)

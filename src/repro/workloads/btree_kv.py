@@ -10,20 +10,19 @@ why the B+ tree shows the smallest HSU-able fraction (Fig. 7).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
+from repro import builds
 from repro.btree.btree import (
     EVENT_KEY_COMPARE,
     EVENT_LEAF_SCAN,
     BTreeStats,
-    bulk_load,
 )
 from repro.compiler.layout import AddressSpace
 from repro.compiler.lowering import STYLE_COOPERATIVE
 from repro.compiler.ops import WarpOp, WarpOps
 from repro.datasets.registry import load_dataset
+from repro.search import BTreeKvIndex
 
 #: Bytes per internal node (255 separators + 256 child pointers).
 _NODE_BYTES = 255 * 4 + 256 * 4
@@ -33,12 +32,11 @@ _LEAF_BYTES = 256 * 8
 _LEAF_ALU = 10
 
 
-@lru_cache(maxsize=8)
+@builds.stored("btree-index")
 def _build(abbr: str, branch: int, scale: float, seed: int):
     dataset = load_dataset(abbr, num_queries=1024, scale=scale, seed=seed)
     keys = dataset.points.astype(np.float64).reshape(-1)
-    tree = bulk_load(keys, branch=branch)
-    return dataset, keys, tree
+    return keys, BTreeKvIndex(branch=branch).build(keys)
 
 
 def run_btree(
@@ -52,7 +50,8 @@ def run_btree(
     """Execute B-tree lookups over one key set; returns a WorkloadRun."""
     from repro.workloads.base import WorkloadRun
 
-    dataset, keys, tree = _build(abbr, branch, scale, seed)
+    keys, index = _build(abbr, branch, scale, seed)
+    tree = index.tree
     rng = np.random.default_rng(seed + 2)
     # Mix of present keys and misses, like an index-probe workload.
     hits_wanted = int(num_queries * hit_fraction)

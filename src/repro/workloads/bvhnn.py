@@ -10,10 +10,9 @@ stays on the SIMD units (§VI-C); leaf distance tests are few ("less than
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
+from repro import builds
 from repro.compiler.assembler import PackedStreams, assemble_warps_packed
 from repro.compiler.layout import AddressSpace
 from repro.compiler.lowering import STYLE_PARALLEL
@@ -143,7 +142,7 @@ def query_stream(
     )
 
 
-@lru_cache(maxsize=16)
+@builds.stored("bvhnn-index")
 def _build(abbr: str, scale: float, seed: int, builder: str, arity: int):
     dataset = load_dataset(abbr, num_queries=512, scale=scale, seed=seed)
     points = dataset.points.astype(np.float64)
@@ -279,7 +278,7 @@ def _lower_radius_trace(index: BvhRadiusIndex, log) -> tuple:
     return streams, total_dist_tests
 
 
-@lru_cache(maxsize=16)
+@builds.stored("bvhnn-shard-split")
 def _sharded_parts(abbr: str, scale: float, seed: int, shards: int):
     """Dataset points, shared radius and the Morton-range shard split.
 
@@ -357,7 +356,7 @@ def run_bvhnn_sharded(
     )
 
 
-@lru_cache(maxsize=16)
+@builds.stored("bvhnn-shard-index")
 def _build_shard(abbr: str, scale: float, seed: int, shards: int,
                  shard: int) -> BvhRadiusIndex:
     """This shard's BVH over its Morton-range partition (LBVH, arity 2)."""

@@ -9,10 +9,9 @@ distance tests are the HSU-able operations.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
+from repro import builds
 from repro.ann.ground_truth import brute_force_knn
 from repro.ann.recall import recall_at_k
 from repro.compiler.assembler import PackedStreams, assemble_warps_packed
@@ -39,7 +38,7 @@ _PLANE_ALU = 5
 _HEAP_OPS = 5
 
 
-@lru_cache(maxsize=16)
+@builds.stored("flann-index")
 def _build_tree(abbr: str, leaf_size: int, scale: float, seed: int):
     dataset = load_dataset(abbr, num_queries=512, scale=scale, seed=seed)
     index = KdTreeIndex(leaf_size=leaf_size).build(dataset.points)

@@ -12,8 +12,7 @@ ALU work that no version offloads (§VI-C).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from repro import builds
 from repro.ann.ground_truth import brute_force_knn
 from repro.ann.recall import recall_at_k
 from repro.compiler.layout import AddressSpace
@@ -42,7 +41,7 @@ def _metric_name(dataset: Dataset) -> str:
     return METRIC_ANGULAR if dataset.metric == "A" else METRIC_EUCLID
 
 
-@lru_cache(maxsize=16)
+@builds.stored("ggnn-graph")
 def _build_graph(abbr: str, m: int, ef_construction: int, scale: float, seed: int):
     dataset = load_dataset(abbr, scale=scale, seed=seed)
     index = HnswIndex(

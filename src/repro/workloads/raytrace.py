@@ -11,10 +11,10 @@ requirement (§III-B, §VI-G).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
+from repro import builds
 from repro.bvh.lbvh import build_lbvh
 from repro.bvh.traversal import (
     EVENT_BOX_NODE,
@@ -82,7 +82,7 @@ def camera_ray(x: int, y: int, width: int, height: int) -> Ray:
     return Ray(origin, direction)
 
 
-@lru_cache(maxsize=4)
+@builds.stored("raytrace-scene")
 def _build_scene(rings: int, sectors: int):
     triangles = make_sphere_scene(rings, sectors)
     bvh = build_lbvh([t.aabb() for t in triangles])

@@ -14,10 +14,9 @@ memory footprint differ.  The box traversal above the leaves is identical.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
+from repro import builds
 from repro.bvh.lbvh import build_lbvh
 from repro.bvh.traversal import (
     EVENT_BOX_NODE,
@@ -46,7 +45,7 @@ _POINT_KEY_BYTES = 4
 _KEY_HALF_WIDTH = 0.25
 
 
-@lru_cache(maxsize=4)
+@builds.stored("rtindex-bvh")
 def _build_index(num_keys: int, seed: int):
     """Sorted unique keys embedded on the x axis, indexed by an LBVH."""
     rng = np.random.default_rng(seed)

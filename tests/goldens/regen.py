@@ -149,7 +149,8 @@ def graph_digest(abbr: str) -> str:
     """SHA-256 of the HNSW graph the GGNN workload searches on ``abbr``.
 
     The graph is the one ``run_ggnn`` builds with its default parameters
-    (``_build_graph`` is memoized, so this reuses the workload's build).
+    (``_build_graph`` is in the build store, so this reuses the workload's
+    build).
     """
     defaults = {
         name: param.default

@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import sys
 
-from repro import api
 from repro.experiments import campaign
 from repro.experiments.common import FAMILIES
 from repro.workloads import run_bvhnn, run_ggnn, to_traces
@@ -44,9 +43,9 @@ def fingerprints() -> dict[str, str]:
     families = (*FAMILIES, "ablations", "scaling", "metrics")
     prints: dict[str, str] = {}
     for group in campaign._group_jobs(campaign.default_jobs(families)):
-        for job in group:
-            prints[job.run_id] = campaign.job_trace(job).fingerprint()
-        api.release_workloads()
+        with campaign.TraceIngest():
+            for job in group:
+                prints[job.run_id] = campaign.job_trace(job).fingerprint()
     triangle_run, point_run = run_rtindex(num_keys=8192, num_lookups=2048)
     _bundle(prints, "rtindex-triangle-keys", triangle_run)
     _bundle(prints, "rtindex-point-keys", point_run)

@@ -17,7 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from repro import api
+from repro import api, builds
+from repro.datasets import registry
 from repro.errors import ConfigError
 from repro.experiments import campaign, common
 from repro.gpusim import (
@@ -62,6 +63,11 @@ def isolated_cache(tmp_path, monkeypatch):
 
 def _clear_process_caches():
     api.clear_caches()
+
+
+def _runs() -> int:
+    """Workload executions so far: the build store's ``run`` count."""
+    return builds.build_counts["run"]
 
 
 def _count_calls(monkeypatch, owner, name) -> Counter:
@@ -146,8 +152,9 @@ class TestCache:
     def test_warm_run_skips_workload_execution(self):
         campaign.run_job(BTREE_BASE)
         _clear_process_caches()
+        before = _runs()
         campaign.run_job(BTREE_BASE)
-        assert api.run_workload.cache_info().misses == 0
+        assert _runs() == before
 
     def test_config_change_busts_cache(self):
         campaign.run_job(BTREE_HSU)
@@ -185,16 +192,44 @@ class TestCache:
         _clear_process_caches()
         assert campaign.run_job(BTREE_BASE).cached
 
+    def test_torn_stats_entry_is_a_miss(self):
+        """A real ``sims/`` entry cut to half its bytes (a torn write)
+        recomputes bit-identical stats and is rewritten whole."""
+        cold = campaign.run_job(BTREE_BASE)
+        path = campaign._stats_path(cold.key)
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        _clear_process_caches()
+        before = campaign.cache_stats.snapshot()
+        healed = campaign.run_job(BTREE_BASE)
+        assert not healed.cached
+        assert healed.stats == cold.stats
+        assert campaign.cache_stats.delta(before).corrupt >= 1
+        entry = json.loads(path.read_text())
+        assert entry["simstats"] == cold.stats.to_json_dict()
+        _clear_process_caches()
+        assert campaign.run_job(BTREE_BASE).cached
+
+    def test_torn_manifest_is_rewritten_whole_on_a_hit(self):
+        campaign.run_job(BTREE_BASE)
+        path = campaign.results_dir() / f"{BTREE_BASE.run_id}.json"
+        whole = path.read_bytes()
+        path.write_bytes(whole[: len(whole) // 2])
+        _clear_process_caches()
+        assert campaign.run_job(BTREE_BASE).cached
+        assert path.read_bytes() == whole
+
     def test_corrupted_trace_entry_recovers_too(self):
         campaign.run_job(BTREE_BASE)
         for entry in (campaign.cache_dir() / "traces").glob("*.json"):
             entry.write_text('{"schema": -1}')
         _clear_process_caches()
+        before = _runs()
         warm = campaign.run_job(BTREE_BASE)
         # Trace tier was corrupt, so the workload re-ran; the sims tier
         # still hit because the recomputed fingerprint matches.
         assert warm.cached
-        assert api.run_workload.cache_info().misses == 1
+        assert _runs() == before + 1
 
     def test_no_cache_mode_neither_reads_nor_writes(self):
         campaign.run_job(BTREE_BASE, mode="off")
@@ -453,17 +488,45 @@ class _WatchedPack(PackedKernel):
 
 class TestGroupRelease:
     """A process holds one workload group in memory at a time: when a
-    group's last job ends, nothing references its run, traces or pack."""
+    group's last job ends, nothing references its run, traces, pack,
+    dataset points or index."""
 
     @staticmethod
     def watch(monkeypatch) -> tuple[list, list]:
         """Weak references, tagged with their job's group, to every
-        workload run, trace and pack the campaign creates; and the groups
-        whose objects were still alive when a job of another group began."""
+        workload run, trace, pack, dataset point set and index the
+        campaign creates; and the groups whose objects were still alive
+        when a job of another group began."""
+        from repro.search import BTreeKvIndex, BvhRadiusIndex
+
         watched: list[tuple[tuple, weakref.ref]] = []
         leaks: list[tuple] = []
         current = [None]
         run_job, to_trace = campaign.run_job, base.to_trace
+        points = registry._points
+
+        def loading(*args, **kwargs):
+            loaded = points(*args, **kwargs)
+            if not any(ref() is loaded for _group, ref in watched):
+                watched.append((current[0], weakref.ref(loaded)))
+            return loaded
+
+        def building(cls):
+            build = cls.build
+
+            def built(self, *args, **kwargs):
+                watched.append((current[0], weakref.ref(self)))
+                return build(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "build", built)
+
+        monkeypatch.setattr(registry, "_points", loading)
+        for cls in (BTreeKvIndex, BvhRadiusIndex):
+            building(cls)
+        # Builds an earlier call made outside any group live in the
+        # process scope; drop them so that the groups make their own.
+        for kind in ("dataset", "btree-index", "bvhnn-index"):
+            builds.drop(kind)
 
         def starting(job, *args, **kwargs):
             leaks.extend(
@@ -499,8 +562,9 @@ class TestGroupRelease:
         assert {group for group, _ref in watched} == {
             BTREE_BASE.group, BVHNN_BASE.group
         }
-        # Two runs, four traces and four packs were made, ...
-        assert len(watched) == 10
+        # Two runs, four traces, four packs, two point sets and two
+        # indexes were made, ...
+        assert len(watched) == 14
         # ... none outlived its group, and none outlives the campaign.
         assert leaks == []
         assert [ref for _group, ref in watched if ref() is not None] == []
@@ -514,17 +578,40 @@ class TestGroupRelease:
             tuple(BVHNN_GROUP), "on", str(cache), str(results), True
         )
         assert all(record.ok for record in records)
-        assert len(watched) == 5  # one run, two traces, two packs
+        # One run, two traces, two packs, a point set and an index.
+        assert len(watched) == 7
         assert [ref for _group, ref in watched if ref() is not None] == []
+
+    def test_release_drops_the_groups_graph(self):
+        """A graph built inside a group dies with it; one built outside
+        any group stays in the process scope and is reused inside one."""
+        from repro.workloads import ggnn
+
+        def small_graph():
+            return ggnn._build_graph("S10K", 12, 48, 0.05, 0)
+
+        with campaign.TraceIngest():
+            refs = [weakref.ref(built) for built in (
+                small_graph()[0].points, small_graph()[1],
+            )]
+        assert [ref for ref in refs if ref() is not None] == []
+        kept = small_graph()
+        before = builds.build_counts["ggnn-graph"]
+        with campaign.TraceIngest():
+            assert small_graph() is kept
+        assert small_graph() is kept
+        assert builds.build_counts["ggnn-graph"] == before
 
     def test_release_survives_a_traced_run_workload(self, monkeypatch):
         """perfbench's traced pass wraps ``api.run_workload`` in a plain
-        function, which has no ``cache_clear``."""
-        memo = api.run_workload
-        monkeypatch.setattr(api, "run_workload", lambda *a: memo(*a))
+        function; the group's run is released all the same."""
+        stored = api.run_workload
+        monkeypatch.setattr(api, "run_workload", lambda *a: stored(*a))
         summary = campaign.execute([BTREE_BASE], jobs_n=1, label="traced")
         assert summary.ok
-        assert memo.cache_info().currsize == 0
+        before = _runs()
+        stored("btree", "B+10K", BTREE_BASE.queries)
+        assert _runs() == before + 1
 
 
 class TestLowerOnlyWhatAJobReads:
@@ -593,6 +680,7 @@ class TestWorkloadMemo:
 
         counts = _count_calls(monkeypatch, btree_kv, "run_btree")
         default = common.resolved_queries("btree", "B+10K")
+        before = _runs()
         first = api.run_workload("btree", "B+10K")
         for call in (
             lambda: api.run_workload("btree", "B+10K", None, "euclid"),
@@ -603,7 +691,7 @@ class TestWorkloadMemo:
         ):
             assert call() is first
         assert counts["calls"] == 1
-        assert api.run_workload.cache_info().misses == 1
+        assert _runs() == before + 1
 
     def test_metric_search_runs_each_arkade_workload_once(self, monkeypatch):
         """Each metric's two simulations and its counter read share one

@@ -213,6 +213,27 @@ class TestManifest:
         assert path.read_text() == "{}\n"
         assert sorted(p.name for p in path.parent.iterdir()) == ["entry.json"]
 
+    def test_two_manifests_start_one_git_process(self, monkeypatch):
+        import subprocess
+
+        from repro.gpusim.observability import manifest as module
+
+        started = []
+        run = subprocess.run
+
+        def counted(args, *rest, **kwargs):
+            started.append(args[0])
+            return run(args, *rest, **kwargs)
+
+        module.git_sha.cache_clear()
+        monkeypatch.setattr(subprocess, "run", counted)
+        first, second = (
+            build_manifest(run_id=run_id, config=VOLTA_V100)
+            for run_id in ("first", "second")
+        )
+        assert started == ["git"]
+        assert first.git_sha == second.git_sha
+
     def test_config_hash_stable_and_sensitive(self):
         assert config_hash(VOLTA_V100) == config_hash(VOLTA_V100)
         assert config_hash(VOLTA_V100) != config_hash(VOLTA_V100.scaled(1))

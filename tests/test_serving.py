@@ -436,6 +436,37 @@ class TestQueryService:
         assert answers == endpoint.index.query_batch(good).neighbors
         assert all(answers)
 
+    def test_cancelled_request_is_not_an_answer(self):
+        """A request cancelled while it waits for its batch is neither
+        answered nor timed; its batch-mates get ``query_batch``'s
+        answers."""
+        endpoint = _kv_endpoint()
+        queries = [2.0, 3.0, 4.0]
+
+        async def main():
+            service = QueryService().add_endpoint(
+                endpoint, BatchPolicy(max_batch=8, max_wait_s=0.05)
+            )
+            tasks = [
+                asyncio.ensure_future(service.submit(endpoint.name, q))
+                for q in queries
+            ]
+            await asyncio.sleep(0)  # every request is admitted
+            tasks[1].cancel()
+            results = await asyncio.gather(*tasks, return_exceptions=True)
+            snapshot = service.snapshot()
+            await service.close()
+            return results, snapshot
+
+        results, snapshot = asyncio.run(main())
+        assert isinstance(results[1], asyncio.CancelledError)
+        assert snapshot[f"serving/{endpoint.name}/batches"] == 1
+        assert snapshot[f"serving/{endpoint.name}/answered"] == 2
+        assert snapshot[f"serving/{endpoint.name}/latency_ms"]["count"] == 2
+        assert [results[0], results[2]] == endpoint.index.query_batch(
+            [queries[0], queries[2]]
+        ).neighbors
+
     def test_tcp_roundtrip(self):
         dataset = np.asarray(
             np.random.default_rng(0).normal(size=(64, 3)), dtype=np.float64
@@ -527,3 +558,44 @@ class TestQueryService:
         assert end == b""
         direct = endpoint.run_batch([dataset[3]])[0]
         assert served["result"] == [[int(i), float(d)] for i, d in direct]
+
+
+class TestEndpointBuilds:
+    """An endpoint asks for its index under its workload family's key, so
+    a serving process that builds and calibrates its endpoints builds each
+    index once."""
+
+    def test_calibration_simulates_over_the_endpoints_index(
+        self, tmp_path, monkeypatch
+    ):
+        from repro import api, builds
+        from repro.serving import build_endpoint, calibrate
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+        monkeypatch.setenv("REPRO_MANIFESTS", "0")
+        built = {}
+        for cls in (BTreeKvIndex, BvhRadiusIndex, KdTreeIndex):
+            def counted(self, *args, _build=cls.build, **kwargs):
+                built[type(self).__name__] = (
+                    built.get(type(self).__name__, 0) + 1
+                )
+                return _build(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "build", counted)
+        for kind in ("point-endpoint", "knn-endpoint", "kv-endpoint",
+                     "bvhnn-index", "flann-index", "btree-index", "run"):
+            builds.drop(kind)
+        api.clear_caches()
+        runs = builds.build_counts["run"]
+        for kind in ("point", "knn", "kv"):
+            endpoint = build_endpoint(kind)
+            calibrate(endpoint.family, endpoint.abbr, variant="hsu")
+            assert build_endpoint(kind) is endpoint
+        api.clear_caches()
+        # Two calibration simulations per endpoint ran their workload ...
+        assert builds.build_counts["run"] == runs + 6
+        # ... over the one index each endpoint built.
+        assert built == {
+            "BvhRadiusIndex": 1, "KdTreeIndex": 1, "BTreeKvIndex": 1,
+        }
