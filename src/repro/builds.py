@@ -14,7 +14,12 @@ Entries live in one of two scopes, and a lookup hits in either:
   it runs (:func:`open_group`).  :func:`release_group`, which
   ``TraceIngest.release`` calls when the group's last job ends, empties
   it, so a finished group's datasets, indexes and graphs do not outlive
-  the group (docs/CAMPAIGN.md, "Memory");
+  the group (docs/CAMPAIGN.md, "Memory").  Groups nest: a group opened
+  inside another adds its builds to the outer one, and only the
+  outermost release empties the scope.  The shards of one multi-device
+  sweep point run as one such outer group (:func:`group`), so they share
+  the point's dataset and partition, and the sweep's interconnect replay
+  reuses their indexes;
 * the **process** scope holds what is built outside a campaign group for
   the life of the process: serving endpoints and everything they are
   built from, and the builds of direct calls.
@@ -26,14 +31,16 @@ store ran; a lookup that hits counts nothing.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import inspect
 from collections import Counter
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 __all__ = [
     "build_counts",
     "drop",
+    "group",
     "open_group",
     "release_group",
     "stored",
@@ -46,8 +53,9 @@ build_counts: Counter[str] = Counter()
 
 _group: dict[tuple, object] = {}
 _process: dict[tuple, object] = {}
-#: A campaign workload group is running: new entries belong to it.
-_in_group = False
+#: Open campaign workload groups; while any is open, new entries
+#: belong to the group scope.
+_depth = 0
 
 
 def stored(kind: str, *, latest: bool = False) -> Callable[[_F], _F]:
@@ -68,7 +76,7 @@ def stored(kind: str, *, latest: bool = False) -> Callable[[_F], _F]:
                 drop(kind)
             value = build(*args, **kwargs)
             build_counts[kind] += 1
-            (_group if _in_group else _process)[key] = value
+            (_group if _depth else _process)[key] = value
             return value
 
         return lookup  # type: ignore[return-value]
@@ -77,17 +85,30 @@ def stored(kind: str, *, latest: bool = False) -> Callable[[_F], _F]:
 
 
 def open_group() -> None:
-    """Start a campaign workload group: builds made until
-    :func:`release_group` belong to it."""
-    global _in_group
-    _in_group = True
+    """Start a campaign workload group: builds made until the matching
+    :func:`release_group` belong to it (or to the group it nests in)."""
+    global _depth
+    _depth += 1
 
 
 def release_group() -> None:
-    """End the workload group and drop every build it made."""
-    global _in_group
-    _in_group = False
-    _group.clear()
+    """End the innermost workload group; ending the outermost one drops
+    every build the groups made."""
+    global _depth
+    _depth = max(0, _depth - 1)
+    if not _depth:
+        _group.clear()
+
+
+@contextlib.contextmanager
+def group() -> Iterator[None]:
+    """A workload group as a ``with`` block (:func:`open_group` on entry,
+    :func:`release_group` on exit)."""
+    open_group()
+    try:
+        yield
+    finally:
+        release_group()
 
 
 def drop(kind: str) -> None:

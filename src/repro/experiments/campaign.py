@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -259,6 +260,15 @@ class Job:
         return (
             self.family, self.abbr, self.queries,
             self.scale, self.shards, self.shard, self.metric,
+        )
+
+    @property
+    def sweep_point(self) -> tuple:
+        """The group without its shard: the shards of one multi-device
+        sweep point share their dataset, radius and partition."""
+        return (
+            self.family, self.abbr, self.queries,
+            self.scale, self.shards, self.metric,
         )
 
     @property
@@ -638,8 +648,9 @@ class TraceIngest:
         self.release()
 
     def release(self) -> None:
-        """Drop the held trace and pack, and empty the build store's group
-        scope: the group's run, datasets, indexes and graphs."""
+        """Drop the held trace and pack, and end the build store's group:
+        unless it nests in an outer group (a sweep point), that empties
+        the group scope, the group's run, datasets, indexes and graphs."""
         self._source = self._kernel = self._packed = None
         builds.release_group()
 
@@ -1076,10 +1087,12 @@ def execute(
     Each distinct job runs (and is recorded) once.  Jobs are grouped by
     workload (family, dataset, query count) so one worker executes the
     workload once and simulates every variant, and a process holds one
-    group in memory at a time (:func:`_run_group`).  A group whose future
-    times out (``per_job_timeout * len(group)``) or whose worker dies, and
-    a job that raises, are retried once, job-by-job; jobs still failing are
-    reported in the summary without aborting the others.
+    group in memory at a time (:func:`_run_group`); run serially, the
+    shards of one sweep point share one build-store group.  A group
+    whose future times out (``per_job_timeout * len(group)``) or whose
+    worker dies, and a job that raises, are retried once, job-by-job;
+    jobs still failing are reported in the summary without aborting the
+    others.
     """
     if mode is not None:
         set_cache_mode(mode)
@@ -1096,13 +1109,19 @@ def execute(
 
     if jobs_n <= 1 or len(groups) <= 1:
         for attempt in range(1, retries + 2):
-            for group in groups:
-                pending = tuple(
-                    job for job in group
-                    if job not in by_job or not by_job[job].ok
-                )
-                if pending:
-                    absorb(_run_group(pending), attempt)
+            # One build-store group per sweep point: its shards build
+            # the point's dataset and partition once.
+            for _point, point_groups in itertools.groupby(
+                groups, key=lambda group: group[0].sweep_point
+            ):
+                with builds.group():
+                    for group in point_groups:
+                        pending = tuple(
+                            job for job in group
+                            if job not in by_job or not by_job[job].ok
+                        )
+                        if pending:
+                            absorb(_run_group(pending), attempt)
     else:
         _execute_pool(
             groups, by_job, jobs_n, mode, per_job_timeout, retries, absorb

@@ -23,14 +23,16 @@ registry datasets:
 Every builder goes through the build store (:mod:`repro.builds`), whose
 process scope keeps an endpoint built outside a campaign group for the
 life of the process: a serving process builds each endpoint once, and
-every concurrent client hits the same prebuilt structure.  An endpoint asks for
-its index under the same key its workload family builds it with (the
-``bvhnn``, ``flann``, ``arkade``, ``ggnn`` and ``btree`` workloads'
-builders), so :func:`repro.serving.calibrate` simulates that family over
-the endpoint's own index instead of building a copy.  Expensive derived
-build inputs go through the campaign's persistent **artifact cache** —
-the BVH search radius is the ``bvhnn-radius`` artifact — so a serving
-process warm-starts from any prior campaign run (and vice versa).
+every concurrent client hits the same prebuilt structure.  An endpoint
+asks for its index under the same key its workload family builds it
+with: the ``bvhnn``, ``flann``, ``arkade``, ``ggnn`` and ``btree``
+builders, at the build parameters the family's module names ``BUILD``
+and its runner takes as defaults.  So :func:`repro.serving.calibrate`
+simulates that family over the endpoint's own index instead of building
+a copy.  Expensive derived build inputs go through the campaign's
+persistent **artifact cache** — the BVH search radius is the
+``bvhnn-radius`` artifact — so a serving process warm-starts from any
+prior campaign run (and vice versa).
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ class Endpoint:
 def point_endpoint(abbr: str = "R10K", scale: float = 1.0,
                    seed: int = 0) -> Endpoint:
     """BVH radius search over a 3-D registry dataset (RTNN shape)."""
-    from repro.workloads.bvhnn import _build
+    from repro.workloads import bvhnn
 
-    dataset, index = _build(abbr, scale, seed, "lbvh", 2)
+    dataset, index = bvhnn._build(abbr, scale, seed, **bvhnn.BUILD)
     return Endpoint(
         name=f"point_{abbr.lower().replace('+', '')}",
         kind="point",
@@ -120,9 +122,11 @@ def point_endpoint(abbr: str = "R10K", scale: float = 1.0,
 def knn_endpoint(abbr: str = "R10K", k: int = 5, max_checks: int = 64,
                  scale: float = 1.0, seed: int = 0) -> Endpoint:
     """k-d tree bounded kNN over a 3-D registry dataset (FLANN shape)."""
-    from repro.workloads.flann import _build_tree
+    from repro.workloads import flann
 
-    dataset, index = _build_tree(abbr, 8, scale, seed)
+    dataset, index = flann._build_tree(
+        abbr, scale=scale, seed=seed, **flann.BUILD
+    )
     return Endpoint(
         name=f"knn_{abbr.lower().replace('+', '')}",
         kind="knn",
@@ -145,9 +149,11 @@ def metric_endpoint(abbr: str = "R10K", metric: str = "l1", k: int = 5,
     workload, so served answers match the brute-force per-metric
     reference the campaign verifies against.
     """
-    from repro.workloads.arkade import _build_index
+    from repro.workloads import arkade
 
-    dataset, index = _build_index(abbr, metric, 8, scale, seed)
+    dataset, index = arkade._build_index(
+        abbr, metric, scale=scale, seed=seed, **arkade.BUILD
+    )
     return Endpoint(
         name=f"metric_{metric}_{abbr.lower().replace('+', '')}",
         kind="metric",
@@ -164,9 +170,11 @@ def ann_endpoint(abbr: str = "S10K", k: int = 10, ef: int = 32,
                  scale: float = 1.0, seed: int = 0) -> Endpoint:
     """HNSW best-first ANN over a high-dimensional dataset (GGNN shape):
     the ``ggnn`` workload's graph, under the dataset's own metric."""
-    from repro.workloads.ggnn import _build_graph
+    from repro.workloads import ggnn
 
-    dataset, index = _build_graph(abbr, 12, 48, scale, seed)
+    dataset, index = ggnn._build_graph(
+        abbr, scale=scale, seed=seed, **ggnn.BUILD
+    )
     return Endpoint(
         name=f"ann_{abbr.lower().replace('+', '')}",
         kind="ann",
@@ -179,18 +187,21 @@ def ann_endpoint(abbr: str = "S10K", k: int = 10, ef: int = 32,
 
 
 @builds.stored("kv-endpoint")
-def kv_endpoint(abbr: str = "B+10K", branch: int = 256, scale: float = 1.0,
-                seed: int = 0) -> Endpoint:
+def kv_endpoint(abbr: str = "B+10K", branch: int | None = None,
+                scale: float = 1.0, seed: int = 0) -> Endpoint:
     """B+ tree key-value lookups over a registry key set (Rodinia shape).
 
-    The traffic sampler draws **zipfian-skewed** probes over the sorted
-    key ranks — the hot-key skew real KV front-ends see — mixed with a
-    fixed fraction of guaranteed misses (keys offset by 0.5 never match
-    the integer-valued key space).
+    ``branch`` defaults to the ``btree`` workload's branch factor.  The
+    traffic sampler draws **zipfian-skewed** probes over the sorted key
+    ranks — the hot-key skew real KV front-ends see — mixed with a fixed
+    fraction of guaranteed misses (keys offset by 0.5 never match the
+    integer-valued key space).
     """
-    from repro.workloads.btree_kv import _build
+    from repro.workloads import btree_kv
 
-    keys, index = _build(abbr, branch, scale, seed)
+    if branch is None:
+        branch = btree_kv.BUILD["branch"]
+    keys, index = btree_kv._build(abbr, branch, scale, seed)
 
     def sampler(count: int, sample_seed: int) -> np.ndarray:
         from repro.serving.traffic import zipf_ranks
@@ -229,10 +240,11 @@ def sharded_endpoint(abbr: str = "R10K", shards: int = 2,
     (``index.stats()["interconnect"]``; docs/SHARDING.md).
     """
     from repro.sharding import ShardedIndex
-    from repro.workloads.bvhnn import _sharded_parts
+    from repro.workloads.bvhnn import _cached_radius
 
     dataset = load_dataset(abbr, num_queries=1, scale=scale, seed=seed)
-    points, radius, _shard_ids = _sharded_parts(abbr, scale, seed, shards)
+    points = dataset.points.astype(np.float64)
+    radius = _cached_radius(abbr, scale, seed, points)
     index = ShardedIndex(
         BvhRadiusIndex, shards, name=f"point_{abbr.lower().replace('+', '')}"
     ).build(points, radius=radius)

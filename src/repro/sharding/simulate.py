@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from repro import builds
 from repro.errors import ConfigError
 from repro.sharding.index import COORD_BYTES, RESULT_BYTES
 from repro.sharding.interconnect import Interconnect, InterconnectConfig
@@ -92,6 +93,9 @@ def simulate_sharded(
     parallel through the process pool; warm runs hit the persistent
     cache), replays the broadcast query batch for the interconnect
     volumes, and composes the makespan + scatter/gather + merge total.
+    The point runs as one build-store group (:func:`repro.builds.group`):
+    the replay reuses the shard indexes the jobs built in this process,
+    and the point's builds are dropped when it returns.
     Raises :class:`~repro.errors.ConfigError` if any shard job fails.
     Pass a :class:`~repro.sharding.metrics.ShardingMetrics` to publish the
     point under ``sharding/<label>/...``.
@@ -106,12 +110,16 @@ def simulate_sharded(
     jobs = [replace(first, shard=shard) for shard in range(shards)]
     run_label = label or f"scaling-{abbr.replace('+', '')}-x{scale:g}-" \
         f"n{shards}".lower()
-    summary = campaign.execute(jobs, jobs_n=jobs_n, label=run_label)
-    if not summary.ok:
-        errors = "; ".join(
-            f"{r.job.run_id}: {r.error}" for r in summary.failed
+    with builds.group():
+        summary = campaign.execute(jobs, jobs_n=jobs_n, label=run_label)
+        if not summary.ok:
+            errors = "; ".join(
+                f"{r.job.run_id}: {r.error}" for r in summary.failed
+            )
+            raise ConfigError(f"sharded simulation failed: {errors}")
+        per_shard_queries, per_shard_results = _query_counts(
+            abbr, scale, shards, queries
         )
-        raise ConfigError(f"sharded simulation failed: {errors}")
     shard_cycles = []
     for job in jobs:
         stats = summary.stats_for(job)
@@ -119,9 +127,6 @@ def simulate_sharded(
         shard_cycles.append(int(stats.cycles))
     makespan = max(shard_cycles)
     fabric = Interconnect(shards, config=interconnect)
-    per_shard_queries, per_shard_results = _query_counts(
-        abbr, scale, shards, queries
-    )
     scatter_bytes, scatter_cycles = fabric.scatter(
         per_shard_queries, 3 * COORD_BYTES
     )

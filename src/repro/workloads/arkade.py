@@ -63,6 +63,10 @@ _HEAP_OPS = 5
 _TDIST_ANGULAR = 1
 
 
+#: The default k-d tree build, which the serving metric endpoint shares.
+BUILD = {"leaf_size": 8}
+
+
 @builds.stored("arkade-index")
 def _build_index(abbr: str, metric: str, leaf_size: int, scale: float,
                  seed: int):
@@ -78,7 +82,7 @@ def run_arkade(
     num_queries: int = 256,
     metric: str = "l1",
     k: int = 5,
-    leaf_size: int = 8,
+    leaf_size: int = BUILD["leaf_size"],
     scale: float = 1.0,
     seed: int = 0,
     metrics: MetricSearchMetrics | None = None,

@@ -32,6 +32,10 @@ _LEAF_BYTES = 256 * 8
 _LEAF_ALU = 10
 
 
+#: The default B+ tree build, which the serving kv endpoint shares.
+BUILD = {"branch": 256}
+
+
 @builds.stored("btree-index")
 def _build(abbr: str, branch: int, scale: float, seed: int):
     dataset = load_dataset(abbr, num_queries=1024, scale=scale, seed=seed)
@@ -42,7 +46,7 @@ def _build(abbr: str, branch: int, scale: float, seed: int):
 def run_btree(
     abbr: str = "B+1M",
     num_queries: int = 256,
-    branch: int = 256,
+    branch: int = BUILD["branch"],
     hit_fraction: float = 0.75,
     scale: float = 1.0,
     seed: int = 0,

@@ -142,6 +142,10 @@ def query_stream(
     )
 
 
+#: The default BVH build (§V-A), which the serving point endpoint shares.
+BUILD = {"builder": "lbvh", "arity": 2}
+
+
 @builds.stored("bvhnn-index")
 def _build(abbr: str, scale: float, seed: int, builder: str, arity: int):
     dataset = load_dataset(abbr, num_queries=512, scale=scale, seed=seed)
@@ -156,8 +160,8 @@ def run_bvhnn(
     num_queries: int = 256,
     scale: float = 1.0,
     seed: int = 0,
-    builder: str = "lbvh",
-    arity: int = 2,
+    builder: str = BUILD["builder"],
+    arity: int = BUILD["arity"],
     sort_queries: bool = False,
 ):
     """Execute BVH-NN radius search over one dataset; returns a WorkloadRun.
@@ -282,10 +286,13 @@ def _lower_radius_trace(index: BvhRadiusIndex, log) -> tuple:
 def _sharded_parts(abbr: str, scale: float, seed: int, shards: int):
     """Dataset points, shared radius and the Morton-range shard split.
 
-    One entry serves every shard of a sweep point: the radius comes from
-    the same ``bvhnn-radius`` artifact the unsharded path uses, and the
-    partition is the deterministic Morton-range split, so per-shard runs
-    agree on who owns which point without any coordination.
+    One entry serves every shard of a sweep point that runs in one build
+    group (:func:`repro.builds.group`: a serial campaign's sweep point, or
+    :func:`repro.sharding.simulate_sharded`'s); a shard run in a pool
+    worker builds its own.  The radius comes from the same
+    ``bvhnn-radius`` artifact the unsharded path uses, and the partition
+    is the deterministic Morton-range split, so per-shard runs agree on
+    who owns which point without any coordination.
     """
     from repro.sharding.partition import MortonRangePartitioner
 

@@ -38,6 +38,10 @@ _PLANE_ALU = 5
 _HEAP_OPS = 5
 
 
+#: The default k-d tree build, which the serving knn endpoint shares.
+BUILD = {"leaf_size": 8}
+
+
 @builds.stored("flann-index")
 def _build_tree(abbr: str, leaf_size: int, scale: float, seed: int):
     dataset = load_dataset(abbr, num_queries=512, scale=scale, seed=seed)
@@ -50,7 +54,7 @@ def run_flann(
     num_queries: int = 256,
     k: int = 5,
     max_checks: int = 64,
-    leaf_size: int = 8,
+    leaf_size: int = BUILD["leaf_size"],
     scale: float = 1.0,
     seed: int = 0,
     check_recall: bool = False,

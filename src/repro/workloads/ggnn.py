@@ -41,6 +41,10 @@ def _metric_name(dataset: Dataset) -> str:
     return METRIC_ANGULAR if dataset.metric == "A" else METRIC_EUCLID
 
 
+#: The default HNSW graph build, which the serving ann endpoint shares.
+BUILD = {"m": 12, "ef_construction": 48}
+
+
 @builds.stored("ggnn-graph")
 def _build_graph(abbr: str, m: int, ef_construction: int, scale: float, seed: int):
     dataset = load_dataset(abbr, scale=scale, seed=seed)
@@ -58,8 +62,8 @@ def run_ggnn(
     num_queries: int = 32,
     k: int = 10,
     ef: int = 32,
-    m: int = 12,
-    ef_construction: int = 48,
+    m: int = BUILD["m"],
+    ef_construction: int = BUILD["ef_construction"],
     scale: float = 1.0,
     seed: int = 0,
     check_recall: bool = False,

@@ -480,3 +480,61 @@ class TestCampaignIntegration:
         points, radius, shard_ids = _sharded_parts("R10K", 1.0, 0, 4)
         assert radius > 0
         _assert_disjoint_covering(shard_ids, points.shape[0])
+
+    def test_sweep_point_builds_once_and_frees_its_builds(
+        self, monkeypatch, tmp_path
+    ):
+        """A serial sweep point builds its split once and each shard's BVH
+        once (the interconnect replay reuses them), and none of its
+        builds outlives it."""
+        import weakref
+
+        from repro import builds
+        from repro.sharding import simulate_sharded
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+        # Drop what earlier direct calls left in the process scope.
+        for kind in ("dataset", "bvhnn-shard-split", "bvhnn-shard-index"):
+            builds.drop(kind)
+        refs = []
+        build = BvhRadiusIndex.build
+
+        def built(self, *args, **kwargs):
+            refs.append(weakref.ref(self))
+            return build(self, *args, **kwargs)
+
+        monkeypatch.setattr(BvhRadiusIndex, "build", built)
+        before = builds.build_counts.copy()
+        point = simulate_sharded("R10K", shards=3, queries=32)
+        assert point.cache_hits == 0
+        made = builds.build_counts - before
+        assert made["bvhnn-shard-split"] == 1
+        assert made["bvhnn-shard-index"] == 3
+        assert made["dataset"] == 1
+        assert len(refs) == 3
+        assert [ref for ref in refs if ref() is not None] == []
+
+    def test_serial_campaign_splits_each_sweep_point_once(
+        self, monkeypatch, tmp_path
+    ):
+        """Each shard is its own workload group, but a serial campaign
+        runs a sweep point's shards in one build group."""
+        from repro import builds
+        from repro.experiments import campaign
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
+        for kind in ("bvhnn-shard-split", "bvhnn-shard-index"):
+            builds.drop(kind)
+        jobs = [
+            campaign.Job("bvhnn", "R10K", "hsu", queries=32, shards=shards,
+                         shard=shard)
+            for shards in (2, 3) for shard in range(shards)
+        ]
+        before = builds.build_counts.copy()
+        summary = campaign.execute(jobs, jobs_n=1, label="sweep-points")
+        assert summary.ok and summary.misses == len(jobs)
+        made = builds.build_counts - before
+        assert made["bvhnn-shard-split"] == 2
+        assert made["bvhnn-shard-index"] == 5
